@@ -15,8 +15,7 @@ import sympy as sp
 from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, is_identically_zero,
                          normalize, sample_point, evaluate_numeric,
                          PoleAtPoint, EvenRootOfNegative)
-from .invariants import (BothComponentsZero, GammaUndefined, InvariantPipeline,
-                         Pseudo)
+from .invariants import BothComponentsZero, InvariantPipeline
 from .parsing import OdeCubic
 
 __all__ = [
@@ -46,7 +45,6 @@ class InvariantReport:
     ode: OdeCubic
     seed: int
     conditions: list[ConditionCheck] = field(default_factory=list)
-    pseudos: dict[str, Pseudo] = field(default_factory=dict)
     invariants: dict[str, sp.Expr] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -131,16 +129,6 @@ def _alpha_condition(pipe: InvariantPipeline, report: InvariantReport,
     return bool(report.conditions[-1].holds)
 
 
-def _store_common(pipe: InvariantPipeline, report: InvariantReport,
-                  names: tuple[str, ...]) -> None:
-    for name in names:
-        try:
-            report.pseudos[name] = pipe.pseudo(name)
-        except (BothComponentsZero, GammaUndefined):
-            pass
-    report.warnings.extend(pipe.warnings)
-
-
 def check_painleve1(ode: OdeCubic, seed: int = DEFAULT_SEED,
                     pipe: InvariantPipeline | None = None) -> InvariantReport:
     """Theorem 1 test: seven conditions; on pass attaches I1 = L1^4/L^5 and
@@ -150,66 +138,107 @@ def check_painleve1(ode: OdeCubic, seed: int = DEFAULT_SEED,
     th = "Theorem 1"
     if not _alpha_condition(pipe, report, th):
         return report
-    zv = pipe.zero_verdict
-    _check(report, f"{th} condition 2: Omega = 0", f"{th}(2)", zv(pipe.Omega), True)
-    _check(report, f"{th} condition 3: N = 0", f"{th}(3)", zv(pipe.N), True)
+    zv, v = pipe.zero_verdict, pipe.value
+    _check(report, f"{th} condition 2: Omega = 0", f"{th}(2)", zv(v("Omega")), True)
+    _check(report, f"{th} condition 3: N = 0", f"{th}(3)", zv(v("N")), True)
     if not all(c.holds for c in report.conditions):
         # Theta and everything after it are well defined only on the
         # subclass cut out by conditions 1-3, so stop here.
         report.warnings.append("conditions 4-7 not evaluated: an earlier "
                                "condition already fails")
-        _store_common(pipe, report, ("alpha", "N", "Omega"))
+        report.warnings.extend(pipe.warnings)
         return report
-    _check(report, f"{th} condition 4: W = 0", f"{th}(4)", zv(pipe.W), True)
-    _check(report, f"{th} condition 5: V = 0", f"{th}(5)", zv(pipe.V), True)
-    _check(report, f"{th} condition 6: Theta != 0", f"{th}(6)", zv(pipe.Theta), False)
-    _check(report, f"{th} condition 7: L1 != 0", f"{th}(7)", zv(pipe.L1), False)
-    _store_common(pipe, report,
-                  ("alpha", "N", "Omega", "Theta", "theta", "L", "L1", "W", "V"))
+    _check(report, f"{th} condition 4: W = 0", f"{th}(4)", zv(v("W")), True)
+    _check(report, f"{th} condition 5: V = 0", f"{th}(5)", zv(v("V")), True)
+    _check(report, f"{th} condition 6: Theta != 0", f"{th}(6)", zv(v("Theta")), False)
+    _check(report, f"{th} condition 7: L1 != 0", f"{th}(7)", zv(v("L1")), False)
+    report.warnings.extend(pipe.warnings)
     if report.passed:
-        report.invariants["I1"] = normalize(pipe.L1**4 / pipe.L**5)
-        report.invariants["I2"] = normalize(pipe.Theta**2 / pipe.L)
+        F, L = pipe.field, v("L")
+        report.invariants["I1"] = F.reduce(v("L1")**4 / L**5).as_expr()
+        report.invariants["I2"] = F.reduce(v("Theta")**2 / L).as_expr()
     return report
 
 
-def _pii_style_invariants(pipe: InvariantPipeline, report: InvariantReport) -> None:
-    I1 = normalize(pipe.M / pipe.N**2)
-    I3 = normalize(pipe.Gamma / pipe.M)
-    xi1, xi2 = pipe.xi
-    I6 = normalize((pipe.B * sp.diff(I3, X) - pipe.A * sp.diff(I3, Y)) / pipe.N)
-    I9 = normalize((xi1 * sp.diff(I3, X) + xi2 * sp.diff(I3, Y))**2 / pipe.N**3)
-    report.invariants.update(I1=I1, I3=I3, I6=I6, I9=I9)
+def _pii_style_conditions(pipe: InvariantPipeline, report: InvariantReport,
+                          th: str, i1: sp.Rational):
+    """Conditions 2-4 of Theorems 2 and 3: Omega = 0, M != 0 and I1 = M/N^2
+    equal to ``i1``.  Returns the field value of I1 when conditions 1-4 all
+    hold, else None."""
+    zv, v = pipe.zero_verdict, pipe.value
+    _check(report, f"{th} condition 2: Omega = 0", f"{th}(2)", zv(v("Omega")), True)
+    _check(report, f"{th} condition 3: M != 0", f"{th}(3)", pipe.m_verdict, False)
+    I1 = None
+    if not pipe.m_verdict.is_zero:
+        I1 = pipe.field.reduce(v("M") / v("N")**2)
+        _check(report, f"{th} condition 4: I1 = {i1}", f"{th}(4)",
+               zv(I1 - i1), True)
+    report.warnings.extend(pipe.warnings)
+    return I1 if report.passed else None
 
 
-def _constant_J(report: InvariantReport, seed: int) -> sp.Expr:
-    """J = (1/50)(4 + 10*I6 - 60*I3)/sqrt(I9), determined up to sign.
+def _pii_style_invariants(pipe: InvariantPipeline, report: InvariantReport,
+                          I1) -> dict:
+    """I1, I3 = Gamma/M, I6 and I9 as reduced field values; their expressions
+    go to ``report.invariants``."""
+    F, v = pipe.field, pipe.value
+    A, B, N = v("A"), v("B"), v("N")
+    xi1, xi2 = v("xi")
+    I3 = F.reduce(v("Gamma") / v("M"))
+    I3_x, I3_y = F.diff(I3, X), F.diff(I3, Y)
+    inv = {"I1": I1, "I3": I3,
+           "I6": F.reduce((B * I3_x - A * I3_y) / N),
+           "I9": F.reduce((xi1 * I3_x + xi2 * I3_y)**2 / N**3)}
+    report.invariants.update({k: f.as_expr() for k, f in inv.items()})
+    return inv
 
-    Computed symbolically when J^2 is a constant rational function (possibly
-    of the parameters); raises SqrtOfNonPositive when I9 is negative at the
-    verification points so no real J exists.
+
+def _gradient_verdict(pipe: InvariantPipeline, f) -> ZeroVerdict:
+    """Whether ``f`` is constant: both of its partial derivatives vanish."""
+    verdicts = [pipe.zero_verdict(pipe.field.diff(f, var)) for var in (X, Y)]
+    for status in ("nonzero", "unknown"):
+        for v in verdicts:
+            if v.status == status:
+                return v
+    return verdicts[0]
+
+
+def _constant_J(report: InvariantReport, pipe: InvariantPipeline,
+                inv: dict) -> Optional[sp.Expr]:
+    """Condition 6 of Theorem 2: J^2 = ((4 + 10*I6 - 60*I3)/50)^2 / I9 is
+    constant; J is then determined up to sign and returned.
+
+    Computed symbolically when the gradient of J^2 is decided exactly
+    (possibly as a function of the parameters), else from samples.  Raises
+    SqrtOfNonPositive when J^2 is a negative number, so no real J exists.
     """
-    I3, I6, I9 = (report.invariants[k] for k in ("I3", "I6", "I9"))
-    num = sp.Rational(1, 50) * (4 + 10 * I6 - 60 * I3)
-    j_sq = normalize(num**2 / I9)
-    dx_v = is_identically_zero(sp.diff(j_sq, X), seed=seed)
-    dy_v = is_identically_zero(sp.diff(j_sq, Y), seed=seed)
-    if dx_v.is_nonzero or dy_v.is_nonzero:
+    F = pipe.field
+    j_sq = F.reduce((4 + 10 * inv["I6"] - 60 * inv["I3"])**2
+                    / (2500 * inv["I9"]))
+    label, ref = "Theorem 2 condition 6: J^2 constant", "Theorem 2(J)"
+    verdict = _gradient_verdict(pipe, j_sq)
+    j_sq = j_sq.as_expr()
+    if verdict.is_unknown:
+        holds, j = _numeric_constant_J(report, j_sq, pipe.seed)
+        report.conditions.append(ConditionCheck(label, ref, verdict, holds))
+        return j
+    _check(report, label, ref, verdict, want_zero=True)
+    if verdict.is_nonzero:
         report.warnings.append("J^2 is not constant; equation cannot be "
                                "point-equivalent to Painleve II")
-        return sp.nan
-    if dx_v.is_unknown or dy_v.is_unknown:
-        return _numeric_constant_J(report, j_sq, seed)
+        return None
     params = sorted(j_sq.free_symbols, key=str)
     if not params and j_sq.is_Rational and j_sq < 0:
         raise SqrtOfNonPositive(f"J^2 = {j_sq} < 0: no real parameter value")
-    j = sqrt_up_to_sign(j_sq)
     report.warnings.append("J is determined up to sign")
-    return j
+    return sqrt_up_to_sign(j_sq)
 
 
 def _numeric_constant_J(report: InvariantReport, j_sq: sp.Expr,
-                        seed: int) -> sp.Expr:
-    """Numeric fallback: J accepted as constant only when samples agree to 1e-20."""
+                        seed: int) -> tuple[Optional[bool], Optional[sp.Expr]]:
+    """Numeric fallback: J^2 is accepted as constant only when samples agree
+    to 1e-20.  Returns (holds, J); holds is None when too few points could be
+    sampled."""
     import random
 
     rng = random.Random(seed)
@@ -224,44 +253,46 @@ def _numeric_constant_J(report: InvariantReport, j_sq: sp.Expr,
             continue
     if len(values) < 2:
         report.warnings.append("could not sample J^2 at non-singular points")
-        return sp.nan
+        return None, None
     import mpmath
 
     spread = max(values) - min(values)
     scale = max(mpmath.mpf(1), max(abs(v) for v in values))
     if spread > scale * mpmath.mpf("1e-20"):
         report.warnings.append("J^2 varies across sample points; not constant")
-        return sp.nan
+        return False, None
     mean = sum(values) / len(values)
     if mean < 0:
         raise SqrtOfNonPositive(f"J^2 ~ {float(mean)} < 0 at verification points")
     j = sp.sqrt(sp.nsimplify(sp.Float(mean, 40), rational=True, tolerance=1e-24))
     report.warnings.append("J determined numerically (up to sign) from "
                            f"{len(values)} agreeing samples")
-    return j
+    return True, j
 
 
 def check_painleve2(ode: OdeCubic, seed: int = DEFAULT_SEED,
                     pipe: InvariantPipeline | None = None) -> InvariantReport:
-    """Theorem 2 test; on pass attaches I1, I3, I6, I9 and the parameter J."""
+    """Theorem 2 test; on pass attaches I1, I3, I6, I9 and the parameter J.
+
+    The theorem's J = (4 + 10*I6 - 60*I3)/(50*sqrt(I9)) must be a constant,
+    so two conditions follow its numbered four: I9 != 0 and J^2 constant.
+    xi, Gamma and the invariants are computed only once conditions 1-4 hold.
+    """
     pipe = pipe or InvariantPipeline(ode, seed=seed)
     report = InvariantReport("painleve2", ode, seed)
     th = "Theorem 2"
     if not _alpha_condition(pipe, report, th):
         return report
-    zv = pipe.zero_verdict
-    _check(report, f"{th} condition 2: Omega = 0", f"{th}(2)", zv(pipe.Omega), True)
-    _check(report, f"{th} condition 3: M != 0", f"{th}(3)", pipe.m_verdict, False)
-    if pipe.m_verdict.is_zero:
-        _store_common(pipe, report, ("alpha", "N", "M", "Omega"))
+    I1 = _pii_style_conditions(pipe, report, th, sp.Rational(18, 5))
+    if I1 is None:
         return report
-    I1 = normalize(pipe.M / pipe.N**2)
-    _check(report, f"{th} condition 4: I1 = 18/5", f"{th}(4)",
-           zv(I1 - sp.Rational(18, 5)), True)
-    _store_common(pipe, report, ("alpha", "N", "M", "Omega", "xi", "Gamma"))
-    _pii_style_invariants(pipe, report)
+    inv = _pii_style_invariants(pipe, report, I1)
+    _check(report, f"{th} condition 5: I9 != 0", f"{th}(J)",
+           pipe.zero_verdict(inv["I9"]), False)
     if report.passed:
-        report.invariants["J"] = _constant_J(report, seed)
+        J = _constant_J(report, pipe, inv)
+        if report.passed:
+            report.invariants["J"] = J
     return report
 
 
@@ -274,18 +305,9 @@ def check_painleve3zero(ode: OdeCubic, seed: int = DEFAULT_SEED,
     th = "Theorem 3"
     if not _alpha_condition(pipe, report, th):
         return report
-    zv = pipe.zero_verdict
-    _check(report, f"{th} condition 2: Omega = 0", f"{th}(2)", zv(pipe.Omega), True)
-    _check(report, f"{th} condition 3: M != 0", f"{th}(3)", pipe.m_verdict, False)
-    if pipe.m_verdict.is_zero:
-        _store_common(pipe, report, ("alpha", "N", "M", "Omega"))
-        return report
-    I1 = normalize(pipe.M / pipe.N**2)
-    _check(report, f"{th} condition 4: I1 = 3/5", f"{th}(4)",
-           zv(I1 - sp.Rational(3, 5)), True)
-    _store_common(pipe, report, ("alpha", "N", "M", "Omega", "xi", "Gamma"))
-    if report.passed:
-        _pii_style_invariants(pipe, report)
+    I1 = _pii_style_conditions(pipe, report, th, sp.Rational(3, 5))
+    if I1 is not None:
+        _pii_style_invariants(pipe, report, I1)
     return report
 
 

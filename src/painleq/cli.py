@@ -127,10 +127,20 @@ def _bindings(pairs: list[str]) -> dict[sp.Symbol, sp.Expr]:
     out = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise UsageError(f"--param expects NAME=VALUE, got {pair!r}")
-        out[sp.Symbol(name.strip())] = _parse(value, f"--param {name}")
+        if name in ("x", "y", "p"):
+            raise UsageError(f"--param cannot bind the variable {name}")
+        out[sp.Symbol(name)] = _parse(value, f"--param {name}")
     return out
+
+
+def _finite(e: sp.Expr, what: str) -> sp.Expr:
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise UsageError(f"{what} is undefined: it divides by zero or takes "
+                         "ln(0)")
+    return e
 
 
 def _load_ode(args) -> OdeCubic:
@@ -140,7 +150,8 @@ def _load_ode(args) -> OdeCubic:
                          "coefficient flags --P/--Q3/--R3/--S")
     subs = _bindings(args.param)
     if args.rhs is not None:
-        rhs = _parse(args.rhs, "--rhs").subs(subs, simultaneous=True)
+        rhs = _finite(_parse(args.rhs, "--rhs").subs(subs, simultaneous=True),
+                      "--rhs")
         try:
             return extract_cubic_coefficients(rhs)
         except NotCubicInDerivative as exc:
@@ -148,7 +159,7 @@ def _load_ode(args) -> OdeCubic:
     parts = []
     for flag, text in zip(("--P", "--Q3", "--R3", "--S"), coeffs):
         e = sp.Integer(0) if text is None else _parse(text, flag)
-        parts.append(normalize(e.subs(subs, simultaneous=True)))
+        parts.append(normalize(_finite(e.subs(subs, simultaneous=True), flag)))
     try:
         return OdeCubic(P=parts[0], Q=normalize(parts[1] / 3),
                         R=normalize(parts[2] / 3), S=parts[3])

@@ -2,14 +2,22 @@
 
 Expressions are immutable sympy objects over the plane variables ``x``, ``y``
 (plus the derivative placeholder ``p`` at parse time) with exact rational
-constants and free single-letter parameters.  This module provides the four
-services the rest of the pipeline is built on: differentiation, canonical
-normalization, sound zero-testing, and high-precision numeric evaluation with
-real root branches.
+constants and free single-letter parameters.  This module provides the
+services the rest of the pipeline is built on: exact rational-function
+arithmetic with differentiation, canonical normalization, sound
+zero-testing, and high-precision numeric evaluation with real root branches.
 
-Transcendental atoms (sin, cos, exp, ln) are treated as independent
-indeterminates after the rewrite ``cos(u)**2 -> 1 - sin(u)**2`` has been
-applied to exhaustion, so Pythagorean cancellations are found exactly.
+Exact algebra runs in a :class:`RationalField`, one ``FracField`` over QQ
+per set of expressions.  Its generators are the variables, the parameters
+and every atom of the input: ``sin u`` and ``cos u`` as a pair, ``exp u``,
+``ln u`` and roots ``b**(1/q)``.  Its derivations ``d/dx`` and ``d/dy`` are
+the partial derivatives in the generators plus the chain rule through the
+atoms.  Numerators and denominators are kept reduced modulo
+``cos(u)**2 + sin(u)**2 - 1``, which eliminates ``cos(u)**2``; that ideal is
+prime, so a reduced numerator of 0 is an exact zero test.  A nonzero
+numerator that still holds atoms is certified by sampling, because distinct
+atoms need not be algebraically independent (``sin(2*y)`` and ``sin(y)``).
+:func:`normalize` is one round trip Expr -> field -> Expr.
 """
 
 from __future__ import annotations
@@ -17,14 +25,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Literal, Mapping
 
 import mpmath
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
 
 __all__ = [
     "X", "Y", "P",
     "ZeroVerdict", "DegenerateSubstitution", "PoleAtPoint", "EvenRootOfNegative",
+    "RationalField", "field_for",
     "differentiate", "normalize", "is_identically_zero", "substitute",
     "evaluate_numeric", "random_rational", "sample_point",
     "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "ZERO_THRESHOLD",
@@ -40,6 +54,8 @@ DEFAULT_SEED = 20240
 SAMPLE_COUNT = 12
 SAMPLE_PRECISION = 60
 ZERO_THRESHOLD = Fraction(1, 10**30)
+
+_NONFINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
 class DegenerateSubstitution(ValueError):
@@ -90,42 +106,305 @@ def differentiate(e: sp.Expr, var: str | sp.Symbol) -> sp.Expr:
     return sp.diff(sp.sympify(e), s)
 
 
-def _is_cos_power(t: sp.Basic) -> bool:
-    return (t.is_Pow and t.base.func is sp.cos and t.exp.is_Integer
-            and (t.exp >= 2 or t.exp <= -2))
+# -- the rational-function field ---------------------------------------------
+
+def _exp_split(u: sp.Expr) -> tuple[sp.Rational, sp.Expr]:
+    """exp(u) = exp(m)**c with c rational and m's sign fixed: returns (c, m)."""
+    c, m = u.as_content_primitive()
+    if m.could_extract_minus_sign():
+        c, m = -c, -m
+    return c, m
 
 
-def _cos_power_to_sin(t: sp.Expr) -> sp.Expr:
-    u = t.base.args[0]
-    n = int(t.exp)
-    return (1 - sp.sin(u) ** 2) ** (n // 2) * sp.cos(u) ** (n % 2)
+def _poly_sum(ring, polys):
+    """Sum of ring elements through one dictionary, not pairwise copies."""
+    if len(polys) == 1:
+        return polys[0]
+    acc: dict = {}
+    zero = ring.domain.zero
+    for p in polys:
+        for monom, coeff in p.items():
+            acc[monom] = acc.get(monom, zero) + coeff
+    return ring.from_dict({m: c for m, c in acc.items() if c})
+
+
+def _generators(exprs) -> tuple[sp.Expr, ...]:
+    """The variables, parameters and atoms of ``exprs``, in a fixed order:
+    symbols, then cos/sin pairs (cos first), exponentials, logarithms, roots
+    and other opaque atoms.  exp atoms sharing an argument up to a rational
+    factor share one generator, as do roots of one base."""
+    symbols, trig, logs, other = set(), set(), set(), set()
+    exps: dict[sp.Expr, set] = {}
+    roots: dict[sp.Expr, int] = {}
+    for e in exprs:
+        symbols |= e.free_symbols
+        for f in e.atoms(sp.Function):
+            if f.func in (sp.sin, sp.cos):
+                trig.add(f.args[0])
+            elif f.func is sp.exp:
+                c, m = _exp_split(f.args[0])
+                exps.setdefault(m, set()).add(c)
+            elif f.func is sp.log:
+                logs.add(f)
+            else:
+                other.add(f)
+        if e.has(sp.E):
+            exps.setdefault(sp.S.One, set()).add(sp.S.One)
+        for p in e.atoms(sp.Pow):
+            if p.exp.is_Rational and not p.exp.is_Integer:
+                roots[p.base] = lcm(roots.get(p.base, 1), int(p.exp.q))
+            elif not p.exp.is_Integer:
+                other.add(p)
+        other |= e.atoms(sp.NumberSymbol) - {sp.E}
+        if e.has(sp.I):
+            other.add(sp.I)
+    key = sp.default_sort_key
+    gens = [X, Y] if {X, Y} <= symbols else []
+    gens += sorted(symbols - set(gens), key=key)
+    for u in sorted(trig, key=key):
+        gens += [sp.cos(u), sp.sin(u)]
+    for m in sorted(exps, key=key):
+        cs = exps[m]
+        g = sp.Rational(gcd(*(int(c.p) for c in cs)), lcm(*(int(c.q) for c in cs)))
+        gens.append(sp.exp(g * m))
+    gens += sorted(logs, key=key)
+    gens += [b ** sp.Rational(1, q) for b, q in sorted(roots.items(),
+                                                       key=lambda bq: key(bq[0]))]
+    gens += sorted(other, key=key)
+    return tuple(gens)
+
+
+class RationalField:
+    """Rational functions over QQ in fixed generators (see the module
+    docstring), with the derivations d/dx, d/dy and the reduction modulo
+    cos(u)**2 + sin(u)**2 - 1.
+
+    Elements are sympy ``FracElement`` values.  Field arithmetic on them is
+    exact; :meth:`reduce` brings a result back to reduced form, and every
+    value this class returns is reduced already.
+    """
+
+    def __init__(self, gens: tuple[sp.Expr, ...]):
+        self.K = FracField(gens, QQ, lex)
+        self.ring = self.K.ring
+        self.symbols = gens
+        self._gen = dict(zip(gens, self.K.gens))
+        self._exps: dict[sp.Expr, tuple[FracElement, sp.Rational]] = {}
+        self._roots: dict[sp.Expr, tuple[FracElement, int]] = {}
+        # gen index, power k, replacement: gen**k is rewritten to replacement
+        self._relations = []
+        # generators whose polynomials are decided exactly: the symbols, and
+        # i with i**2 = -1
+        exact = []
+        ring_gens = self.ring.gens
+        for i, g in enumerate(gens):
+            if g.is_Symbol or g is sp.I:
+                exact.append(i)
+            if g is sp.I:
+                self._relations.append((i, 2, -self.ring.one))
+            elif g.func is sp.cos:
+                sin_u = ring_gens[gens.index(sp.sin(g.args[0]))]
+                self._relations.append((i, 2, self.ring.one - sin_u**2))
+            elif g.func is sp.exp or g is sp.E:
+                c, m = _exp_split(g.args[0] if g.args else sp.S.One)
+                self._exps[m] = (self.K.gens[i], c)
+            elif g.is_Pow and g.exp.is_Rational:
+                q = int(g.exp.q)
+                self._roots[g.base] = (self.K.gens[i], q)
+                if g.base.is_Rational:
+                    self._relations.append(
+                        (i, q, self.ring.ground_new(QQ(int(g.base.p), int(g.base.q)))))
+        self._inexact = [i for i in range(len(gens)) if i not in exact]
+        self._powers: dict[tuple[int, int], object] = {}
+        self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
+        self._tables: dict[sp.Symbol, tuple] = {}
+
+    # -- conversion ---------------------------------------------------------
+
+    def __call__(self, e: sp.Expr) -> FracElement:
+        """``e`` as a reduced field element."""
+        return self.reduce(self._convert(sp.sympify(e)))
+
+    def _convert(self, e: sp.Expr) -> FracElement:
+        g = self._gen.get(e)
+        if g is not None:
+            return g
+        K = self.K
+        if e.is_Rational:
+            return K(QQ(int(e.p), int(e.q)))
+        if e.is_Add:
+            groups: dict = {}
+            for a in e.args:
+                f = self._convert(a)
+                groups.setdefault(f.denom, []).append(f.numer)
+            total = K.zero
+            for den, nums in groups.items():
+                total += K.new(_poly_sum(self.ring, nums), den)
+            return total
+        if e.is_Mul:
+            num, den = self.ring.one, self.ring.one
+            for a in e.args:
+                f = self._convert(a)
+                num, den = num * f.numer, den * f.denom
+            return K.new(num, den)
+        if e.is_Pow and e.exp.is_Integer:
+            return self._convert(e.base) ** int(e.exp)
+        if e.is_Pow and e.exp.is_Rational and e.base in self._roots:
+            root, q = self._roots[e.base]
+            return root ** int(e.exp * q)
+        if e.func is sp.exp or e is sp.E:
+            c, m = _exp_split(e.args[0] if e.args else sp.S.One)
+            if m in self._exps:
+                gen, unit = self._exps[m]
+                if (c / unit).is_Integer:
+                    return gen ** int(c / unit)
+        if e.is_Float:
+            return K(QQ.from_sympy(e))
+        raise ValueError(f"{e} is not a generator of {self.symbols}")
+
+    # -- reduction ----------------------------------------------------------
+
+    def _replacement_power(self, i: int, n: int):
+        key = (i, n)
+        if key not in self._powers:
+            repl = next(r for j, _, r in self._relations if j == i)
+            self._powers[key] = repl**n
+        return self._powers[key]
+
+    def _reduce_poly(self, p):
+        """``p`` with every gen**k of a relation rewritten until none is left.
+        The replacements hold no relation generator, so each pass removes
+        one relation generator from every term it touches."""
+        zero = self.ring.domain.zero
+        while True:
+            acc: dict = {}
+            touched = False
+            for monom, coeff in p.items():
+                for i, k, _ in self._relations:
+                    if monom[i] >= k:
+                        n, rest = divmod(monom[i], k)
+                        base = monom[:i] + (rest,) + monom[i + 1:]
+                        for rm, rc in self._replacement_power(i, n).items():
+                            mm = tuple(a + b for a, b in zip(base, rm))
+                            acc[mm] = acc.get(mm, zero) + coeff * rc
+                        touched = True
+                        break
+                else:
+                    acc[monom] = acc.get(monom, zero) + coeff
+            if not touched:
+                return p
+            p = self.ring.from_dict({m: c for m, c in acc.items() if c})
+
+    def _make(self, num, den) -> FracElement:
+        if self._relations:
+            num, den = self._reduce_poly(num), self._reduce_poly(den)
+        if not den:
+            raise ZeroDivisionError("denominator vanishes identically")
+        return self.K.new(num, den)
+
+    def reduce(self, f: FracElement) -> FracElement:
+        """``f`` with numerator and denominator reduced and their gcd removed."""
+        if not self._relations:
+            return f
+        return self._make(f.numer, f.denom)
+
+    def is_exact(self, p) -> bool:
+        """True when the polynomial ``p`` holds no atom, so that its being
+        nonzero is decided by its reduced form alone."""
+        degrees = p.degrees()
+        return all(degrees[i] <= 0 for i in self._inexact)
+
+    # -- derivations --------------------------------------------------------
+
+    def _generator_diff(self, i: int, var: sp.Symbol) -> FracElement:
+        """d/var of generator ``i`` by the chain rule through its argument."""
+        key = (i, var)
+        if key in self._gen_diff:
+            return self._gen_diff[key]
+        g, K = self.symbols[i], self.K
+        gen = K.gens[i]
+        if var not in g.free_symbols:
+            d = K.zero
+        elif g.is_Symbol:
+            d = K.one
+        elif g.func is sp.sin:
+            d = self._gen[sp.cos(g.args[0])] * self._chain(g.args[0], var)
+        elif g.func is sp.cos:
+            d = -self._gen[sp.sin(g.args[0])] * self._chain(g.args[0], var)
+        elif g.func is sp.exp:
+            d = gen * self._chain(g.args[0], var)
+        elif g.func is sp.log:
+            d = self._chain(g.args[0], var) / self._convert(g.args[0])
+        elif g.is_Pow and g.exp.is_Rational:
+            b = self._convert(g.base)
+            d = gen * self._chain(g.base, var) / (int(g.exp.q) * b)
+        else:
+            raise ValueError(f"no derivative rule for the atom {g}")
+        self._gen_diff[key] = d
+        return d
+
+    def _chain(self, u: sp.Expr, var: sp.Symbol) -> FracElement:
+        """d/var of an atom's argument, through the generators it holds."""
+        f = self._convert(u)
+        total = self.K.zero
+        for j, gen in enumerate(self.K.gens):
+            if f.numer.degree(j) > 0 or f.denom.degree(j) > 0:
+                total += f.diff(gen) * self._generator_diff(j, var)
+        return total
+
+    def _derivation(self, var: sp.Symbol):
+        """(B, [(generator, A)]) with d(generator)/d(var) = A/B, polynomials."""
+        if var not in self._tables:
+            parts = [(g, self._generator_diff(i, var))
+                     for i, g in enumerate(self.ring.gens)]
+            parts = [(g, d) for g, d in parts if d]
+            B = self.ring.one
+            for _, d in parts:
+                B = B.lcm(d.denom)
+            self._tables[var] = (B, [(g, d.numer * B.exquo(d.denom))
+                                     for g, d in parts])
+        return self._tables[var]
+
+    def diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
+        """d/dx or d/dy of ``f`` (parameters are constants), reduced."""
+        B, table = self._derivation(var)
+        num, den = f.numer, f.denom
+        dnum = _poly_sum(self.ring, [num.diff(g) * a for g, a in table]
+                         or [self.ring.zero])
+        if den.is_ground:
+            return self._make(dnum, B * den)
+        dden = _poly_sum(self.ring, [den.diff(g) * a for g, a in table]
+                         or [self.ring.zero])
+        return self._make(dnum * den - num * dden, B * den**2)
+
+
+@lru_cache(maxsize=256)
+def _field_on(gens: tuple[sp.Expr, ...]) -> RationalField:
+    return RationalField(gens)
+
+
+def field_for(*exprs: sp.Expr) -> RationalField:
+    """The rational-function field of the variables, parameters and atoms
+    of ``exprs``."""
+    return _field_on(_generators([sp.sympify(e) for e in exprs]))
 
 
 def normalize(e: sp.Expr) -> sp.Expr:
     """Canonical quotient of polynomials in the variables, parameters and atoms.
 
-    cos(u)**2 -> 1 - sin(u)**2 is applied to exhaustion, then the expression is
-    flattened to a single quotient with the numerator/denominator gcd removed.
-    Idempotent; the zero expression normalizes to 0.
+    One round trip through the expression's :class:`RationalField`: no
+    ``cos(u)**2`` survives, and the numerator/denominator gcd is removed.
+    Idempotent; the zero expression normalizes to 0, a denominator that
+    vanishes identically to ``zoo``, and undefined input comes back as is.
     """
     e = sp.sympify(e)
-    for _ in range(128):
-        if e.has(sp.cos):
-            e = e.replace(_is_cos_power, _cos_power_to_sin)
-        try:
-            new = sp.cancel(e)
-        except (sp.PolynomialError, sp.CoercionFailed):
-            new = sp.together(sp.expand(e))
-        if not new.has(sp.cos):
-            return new
-        if not any(_is_cos_power(t) for t in sp.preorder_traversal(new)):
-            return new
-        e = new
-    return e
-
-
-def _atoms(e: sp.Expr) -> set[sp.Expr]:
-    return set(e.atoms(sp.sin, sp.cos, sp.exp, sp.log))
+    if e.is_Rational or e.has(*_NONFINITE):
+        return e
+    field = field_for(e)
+    try:
+        return field(e).as_expr()
+    except ZeroDivisionError:
+        return sp.zoo
 
 
 def random_rational(rng: random.Random, lo: int = 1, hi: int = 2,
@@ -139,20 +418,33 @@ def sample_point(e: sp.Expr, rng: random.Random) -> dict[sp.Symbol, sp.Rational]
     return {s: sp.Rational(random_rational(rng)) for s in sorted(e.free_symbols, key=str)}
 
 
-def is_identically_zero(e: sp.Expr, seed: int = DEFAULT_SEED) -> ZeroVerdict:
+def is_identically_zero(e: sp.Expr | FracElement,
+                        seed: int = DEFAULT_SEED) -> ZeroVerdict:
     """Sound identical-vanishing test.
 
-    The exact canonical form decides whenever it can; for atom-laden input
-    that does not normalize to 0, evaluation at ``SAMPLE_COUNT`` random
-    non-singular rational points distinguishes NonZero from Unknown.
+    ``e`` is an expression or an element of a :class:`RationalField`.  The
+    reduced numerator decides whenever it can: 0 is zero, and a nonzero
+    numerator without atoms is nonzero.  A nonzero numerator holding atoms is
+    evaluated at ``SAMPLE_COUNT`` random non-singular rational points, which
+    distinguishes NonZero from Unknown.
     """
-    n = normalize(e)
-    if n == 0:
+    if isinstance(e, FracElement):
+        field = _field_on(e.field.symbols)
+        f = field.reduce(e)
+    else:
+        e = sp.sympify(e)
+        if e.has(*_NONFINITE):
+            return ZeroVerdict("unknown", "expression is undefined")
+        field = field_for(e)
+        try:
+            f = field(e)
+        except ZeroDivisionError:
+            return ZeroVerdict("unknown", "denominator vanishes identically")
+    if not f.numer:
         return ZeroVerdict("zero", "canonical form vanishes")
-    num, _den = n.as_numer_denom()
-    if not _atoms(n):
-        # Rational function over Q: nonzero canonical numerator is decisive.
+    if field.is_exact(f.numer):
         return ZeroVerdict("nonzero", "canonical form is a nonzero rational function")
+    num = f.numer.as_expr()
     rng = random.Random(seed)
     tested = 0
     for _ in range(SAMPLE_COUNT * 4):
@@ -218,6 +510,8 @@ def _eval_with_scale(e: sp.Expr, subs: Mapping[sp.Symbol, object],
                 return note(mpmath.mpf(t.p) / mpmath.mpf(t.q))
             if t.is_Float:
                 return note(mpmath.mpf(str(t)))
+            if t.is_NumberSymbol:
+                return note(mpmath.mpf(str(sp.N(t, precision + 10))))
             if t.is_Symbol:
                 if t not in subs:
                     raise ValueError(f"no value assigned to symbol {t}")

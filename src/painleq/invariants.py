@@ -8,6 +8,11 @@ a well-defined pseudoinvariant on the subclass with N = 0, which is where
 the first theorem uses it.  Weight bookkeeping follows the fixed assignment
 in ``WEIGHTS``.
 
+The formulas are evaluated on elements of the coefficients'
+:class:`~painleq.exprkernel.RationalField`; each stage property returns its
+reduced value as an expression, and :meth:`InvariantPipeline.value` gives
+the field value itself.
+
 Dependency order: alpha -> F -> N -> phi -> {M, omega} -> Theta -> theta ->
 L -> L1 -> {W, V}; and N, Omega, phi -> gamma -> xi -> Gamma.
 """
@@ -21,7 +26,7 @@ from typing import Literal
 import sympy as sp
 
 from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, differentiate,
-                         is_identically_zero, normalize)
+                         field_for, is_identically_zero, normalize)
 from .parsing import OdeCubic
 
 __all__ = [
@@ -82,46 +87,79 @@ class BranchChoice:
         return "B" if self.choice == "B" else "A"
 
 
-def _dx(e):
-    return sp.diff(e, X)
-
-
-def _dy(e):
-    return sp.diff(e, Y)
-
-
 class InvariantPipeline:
     """Lazily computes and caches the whole pseudoinvariant chain for one ODE.
 
-    All intermediates are normalized after every stage to control expression
-    swell.  Zero tests share one seed for reproducibility.  Non-fatal
-    diagnostics (branch agreement checked only numerically, etc.) accumulate
-    in ``warnings``.
+    The chain is computed in the :class:`~painleq.exprkernel.RationalField`
+    of the coefficients, which are converted into it once.  Each stage
+    evaluates its formula on field elements, keeps the reduced result (read
+    it with :meth:`value`) and returns it as an expression.  Zero tests share
+    one seed for reproducibility.  Non-fatal diagnostics (branch agreement
+    checked only numerically, etc.) accumulate in ``warnings``.
     """
 
     def __init__(self, ode: OdeCubic, seed: int = DEFAULT_SEED):
         self.ode = ode
         self.seed = seed
         self.warnings: list[str] = []
-        self._omega_cache: dict[str, tuple[sp.Expr, sp.Expr]] = {}
+        self.field = field_for(ode.P, ode.Q, ode.R, ode.S)
+        self._values: dict[str, object] = {}
+        self._omega_cache: dict[str, tuple] = {}
+        self._partials: dict[tuple[int, sp.Symbol], tuple] = {}
 
-    def zero_verdict(self, e: sp.Expr) -> ZeroVerdict:
+    def zero_verdict(self, e) -> ZeroVerdict:
         return is_identically_zero(e, seed=self.seed)
+
+    def value(self, name: str):
+        """Reduced field value of stage ``name`` (a pair for phi, omega,
+        theta, gamma and xi), computed through its property on first use."""
+        if name not in self._values:
+            getattr(self, name)
+        return self._values[name]
+
+    def _out(self, name: str, *parts):
+        """Keep the reduced field value of a stage; return it as expressions."""
+        vals = tuple(self.field.reduce(p) for p in parts)
+        self._values[name] = vals if len(vals) > 1 else vals[0]
+        exprs = tuple(v.as_expr() for v in vals)
+        return exprs if len(exprs) > 1 else exprs[0]
+
+    @cached_property
+    def _pqrs(self):
+        ode = self.ode
+        return tuple(self.field(c) for c in (ode.P, ode.Q, ode.R, ode.S))
+
+    def _partial(self, f, var):
+        """d/var of ``f``, computed once per pipeline; the memo keeps ``f``
+        alive, so its id cannot be reused by another value."""
+        hit = self._partials.get((id(f), var))
+        if hit is None or hit[0] is not f:
+            hit = (f, self.field.diff(f, var))
+            self._partials[(id(f), var)] = hit
+        return hit[1]
+
+    def _dx(self, f):
+        return self._partial(f, X)
+
+    def _dy(self, f):
+        return self._partial(f, Y)
 
     # -- alpha ------------------------------------------------------------
 
     @cached_property
     def A(self) -> sp.Expr:
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
-        return normalize(
+        P, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return self._out("A",
             _dy(_dy(P)) - 2 * _dx(_dy(Q)) + _dx(_dx(R))
             + 2 * P * _dx(S) + S * _dx(P) - 3 * P * _dy(R) - 3 * R * _dy(P)
             - 3 * Q * _dx(R) + 6 * Q * _dy(Q))
 
     @cached_property
     def B(self) -> sp.Expr:
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
-        return normalize(
+        P, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return self._out("B",
             _dx(_dx(S)) - 2 * _dx(_dy(R)) + _dy(_dy(Q))
             - 2 * S * _dy(P) - P * _dy(S) + 3 * S * _dx(Q) + 3 * Q * _dx(S)
             + 3 * R * _dy(Q) - 6 * R * _dx(R))
@@ -132,8 +170,8 @@ class InvariantPipeline:
 
     @cached_property
     def branch(self) -> BranchChoice:
-        a_v = self.zero_verdict(self.A)
-        b_v = self.zero_verdict(self.B)
+        a_v = self.zero_verdict(self.value("A"))
+        b_v = self.zero_verdict(self.value("B"))
         if not a_v.is_zero and not b_v.is_zero:
             return BranchChoice("both", a_v, b_v)
         if not a_v.is_zero:
@@ -146,33 +184,36 @@ class InvariantPipeline:
 
     @cached_property
     def G(self) -> sp.Expr:
-        A, B = self.A, self.B
-        Q, R, S = self.ode.Q, self.ode.R, self.ode.S
-        return normalize(-B * _dx(B) - 3 * A * _dy(B) + 4 * B * _dy(A)
+        A, B = self.value("A"), self.value("B")
+        _, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return self._out("G", -B * _dx(B) - 3 * A * _dy(B) + 4 * B * _dy(A)
                          + 3 * S * A**2 - 6 * R * B * A + 3 * Q * B**2)
 
     @cached_property
     def H(self) -> sp.Expr:
-        A, B = self.A, self.B
-        P, Q, R = self.ode.P, self.ode.Q, self.ode.R
-        return normalize(-A * _dy(A) - 3 * B * _dx(A) + 4 * A * _dx(B)
+        A, B = self.value("A"), self.value("B")
+        P, Q, R, _ = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return self._out("H", -A * _dy(A) - 3 * B * _dx(A) + 4 * A * _dx(B)
                          - 3 * P * B**2 + 6 * Q * A * B - 3 * R * A**2)
 
     @cached_property
     def F5(self) -> sp.Expr:
         """3*F^5; the F = 0 test is decided on A*G + B*H without a fifth root."""
-        return normalize((self.A * self.G + self.B * self.H) / 3)
+        v = self.value
+        return self._out("F5", (v("A") * v("G") + v("B") * v("H")) / 3)
 
     @cached_property
     def f_verdict(self) -> ZeroVerdict:
-        return self.zero_verdict(self.F5)
+        return self.zero_verdict(self.value("F5"))
 
     # -- N, phi -----------------------------------------------------------
 
     def _require_branch(self) -> BranchChoice:
         return self.branch  # raises BothComponentsZero when degenerate
 
-    def _dual(self, name: str, value_a, value_b) -> sp.Expr:
+    def _dual(self, name: str, value_a, value_b):
         """Evaluate dual formulas per branch policy; assert agreement on both."""
         br = self._require_branch()
         if br.choice == "A":
@@ -193,14 +234,16 @@ class InvariantPipeline:
 
     @cached_property
     def N(self) -> sp.Expr:
-        return self._dual("N",
-                          lambda: normalize(-self.H / (3 * self.A)),
-                          lambda: normalize(self.G / (3 * self.B)))
+        v = self.value
+        return self._out("N", self._dual("N",
+                                         lambda: -v("H") / (3 * v("A")),
+                                         lambda: v("G") / (3 * v("B"))))
 
     @cached_property
     def phi(self) -> tuple[sp.Expr, sp.Expr]:
-        A, B = self.A, self.B
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
+        A, B = self.value("A"), self.value("B")
+        P, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
         br = self._require_branch()
         if br.primary == "A":
             phi1 = -sp.Rational(3, 5) * (B * P + _dx(A)) / A + sp.Rational(3, 5) * Q
@@ -212,66 +255,69 @@ class InvariantPipeline:
                     - sp.Rational(3, 5) * (_dy(A) + _dx(B) - 3 * A * R) / B
                     - sp.Rational(6, 5) * Q)
             phi2 = sp.Rational(3, 5) * (A * S - _dy(B)) / B - sp.Rational(3, 5) * R
-        return normalize(phi1), normalize(phi2)
+        return self._out("phi", phi1, phi2)
 
     @cached_property
     def M(self) -> sp.Expr:
-        return self._dual("M", self._M_a, self._M_b)
+        return self._out("M", self._dual("M", self._M_a, self._M_b))
 
-    def _M_a(self) -> sp.Expr:
-        A, B, N = self.A, self.B, self.N
-        P, Q, R = self.ode.P, self.ode.Q, self.ode.R
-        return normalize(
-            -sp.Rational(12, 5) * B * N * (B * P + _dx(A)) / A + B * _dx(N)
-            + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * _dx(B)
-            + sp.Rational(6, 5) * N * _dy(A) - A * _dy(N)
-            - sp.Rational(12, 5) * A * N * R)
+    def _M_a(self):
+        A, B, N = self.value("A"), self.value("B"), self.value("N")
+        P, Q, R, _ = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return (-sp.Rational(12, 5) * B * N * (B * P + _dx(A)) / A + B * _dx(N)
+                + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * _dx(B)
+                + sp.Rational(6, 5) * N * _dy(A) - A * _dy(N)
+                - sp.Rational(12, 5) * A * N * R)
 
-    def _M_b(self) -> sp.Expr:
-        A, B, N = self.A, self.B, self.N
-        Q, R, S = self.ode.Q, self.ode.R, self.ode.S
-        return normalize(
-            -sp.Rational(12, 5) * A * N * (A * S - _dy(B)) / B - A * _dy(N)
-            + sp.Rational(24, 5) * A * N * R - sp.Rational(6, 5) * N * _dy(A)
-            - sp.Rational(6, 5) * N * _dx(B) + B * _dx(N)
-            - sp.Rational(12, 5) * B * N * Q)
+    def _M_b(self):
+        A, B, N = self.value("A"), self.value("B"), self.value("N")
+        _, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return (-sp.Rational(12, 5) * A * N * (A * S - _dy(B)) / B - A * _dy(N)
+                + sp.Rational(24, 5) * A * N * R - sp.Rational(6, 5) * N * _dy(A)
+                - sp.Rational(6, 5) * N * _dx(B) + B * _dx(N)
+                - sp.Rational(12, 5) * B * N * Q)
 
     @cached_property
     def Omega(self) -> sp.Expr:
-        return self._dual("Omega", self._Omega_a, self._Omega_b)
+        return self._out("Omega", self._dual("Omega", self._Omega_a, self._Omega_b))
 
-    def _Omega_a(self) -> sp.Expr:
-        A, B = self.A, self.B
-        P, Q, R = self.ode.P, self.ode.Q, self.ode.R
-        return normalize(
-            2 * B * _dx(A) * (B * P + _dx(A)) / A**3
-            - (2 * _dx(B) + 3 * B * Q) * _dx(A) / A**2
-            + (_dy(A) - 2 * _dx(B)) * B * P / A**2
-            - (B * _dx(_dx(A)) + B**2 * _dx(P)) / A**2
-            + _dx(_dx(B)) / A
-            + (3 * _dx(B) * Q + 3 * B * _dx(Q) - _dy(B) * P - B * _dy(P)) / A
-            + _dy(Q) - 2 * _dx(R))
+    def _Omega_a(self):
+        A, B = self.value("A"), self.value("B")
+        P, Q, R, _ = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        return (2 * B * _dx(A) * (B * P + _dx(A)) / A**3
+                - (2 * _dx(B) + 3 * B * Q) * _dx(A) / A**2
+                + (_dy(A) - 2 * _dx(B)) * B * P / A**2
+                - (B * _dx(_dx(A)) + B**2 * _dx(P)) / A**2
+                + _dx(_dx(B)) / A
+                + (3 * _dx(B) * Q + 3 * B * _dx(Q) - _dy(B) * P - B * _dy(P)) / A
+                + _dy(Q) - 2 * _dx(R))
 
-    def _Omega_b(self) -> sp.Expr:
-        A, B = self.A, self.B
-        Q, R, S = self.ode.Q, self.ode.R, self.ode.S
+    def _Omega_b(self):
+        A, B = self.value("A"), self.value("B")
+        _, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
         # The sign of the second term is fixed relative to the source display;
         # as printed it breaks the x <-> y duality with the A-branch formula
         # and gives a nonzero Omega on pullbacks of Painleve I with Q != 0.
-        return normalize(
-            2 * A * _dy(B) * (A * S - _dy(B)) / B**3
-            + (2 * _dy(A) - 3 * A * R) * _dy(B) / B**2
-            + (_dx(B) - 2 * _dy(A)) * A * S / B**2
-            + (A * _dy(_dy(B)) - A**2 * _dy(S)) / B**2
-            - _dy(_dy(A)) / B
-            + (3 * _dy(A) * R + 3 * A * _dy(R) - _dx(A) * S - A * _dx(S)) / B
-            + _dx(R) - 2 * _dy(Q))
+        return (2 * A * _dy(B) * (A * S - _dy(B)) / B**3
+                + (2 * _dy(A) - 3 * A * R) * _dy(B) / B**2
+                + (_dx(B) - 2 * _dy(A)) * A * S / B**2
+                + (A * _dy(_dy(B)) - A**2 * _dy(S)) / B**2
+                - _dy(_dy(A)) / B
+                + (3 * _dy(A) * R + 3 * A * _dy(R) - _dx(A) * S - A * _dx(S)) / B
+                + _dx(R) - 2 * _dy(Q))
 
     # -- omega, Theta, theta ----------------------------------------------
 
     @cached_property
     def omega(self) -> tuple[sp.Expr, sp.Expr]:
-        return self._omega_pair(self._require_branch().primary)
+        which = self._require_branch().primary
+        pair = self._omega_pair(which)
+        self._values["omega"] = self._omega_cache[which][0]
+        return pair
 
     def _omega_pair(self, which: str) -> tuple[sp.Expr, sp.Expr]:
         """The covector omega on the given branch.
@@ -282,88 +328,98 @@ class InvariantPipeline:
         displays in the source fail that relation and are not used.
         """
         if which in self._omega_cache:
-            return self._omega_cache[which]
-        A, B = self.A, self.B
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
+            return self._omega_cache[which][1]
+        A, B = self.value("A"), self.value("B")
+        P, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
+        red = self.field.reduce
         if which == "A":
-            om1 = normalize(
+            om1 = red(
                 sp.Rational(12, 5) * P * R / A - sp.Rational(54, 25) * Q**2 / A
                 - _dy(P) / A + sp.Rational(6, 5) * _dx(Q) / A
                 - (P * _dy(A) + B * _dx(P) + _dx(_dx(A))) / (5 * A**2)
                 - sp.Rational(2, 5) * _dx(B) * P / A**2
                 + (3 * Q * _dx(A) - 12 * P * B * Q) / (25 * A**2)
                 + (6 * B**2 * P**2 + 12 * B * P * _dx(A) + 6 * _dx(A)**2) / (25 * A**3))
-            pair = (om1, normalize(om1 * B / A))
+            pair = (om1, red(om1 * B / A))
         else:
-            om2 = normalize(
+            om2 = red(
                 sp.Rational(12, 5) * S * Q / B - sp.Rational(54, 25) * R**2 / B
                 + _dx(S) / B - sp.Rational(6, 5) * _dy(R) / B
                 + (S * _dx(B) + A * _dy(S) - _dy(_dy(B))) / (5 * B**2)
                 + sp.Rational(2, 5) * _dy(A) * S / B**2
                 - (3 * R * _dy(B) + 12 * S * A * R) / (25 * B**2)
                 + (6 * A**2 * S**2 - 12 * _dy(B) * A * S + 6 * _dy(B)**2) / (25 * B**3))
-            pair = (normalize(om2 * A / B), om2)
-        self._omega_cache[which] = pair
-        return pair
+            pair = (red(om2 * A / B), om2)
+        self._omega_cache[which] = (pair, tuple(v.as_expr() for v in pair))
+        return self._omega_cache[which][1]
+
+    def _omega_value(self, which: str):
+        self._omega_pair(which)
+        return self._omega_cache[which][0]
 
     @cached_property
     def Theta(self) -> sp.Expr:
-        return self._dual(
+        v = self.value
+        return self._out("Theta", self._dual(
             "Theta",
-            lambda: normalize(self._omega_pair("A")[0] / self.A),
-            lambda: normalize(self._omega_pair("B")[1] / self.B))
+            lambda: self._omega_value("A")[0] / v("A"),
+            lambda: self._omega_value("B")[1] / v("B")))
 
     @cached_property
     def theta(self) -> tuple[sp.Expr, sp.Expr]:
-        phi1, phi2 = self.phi
-        Th = self.Theta
-        return (normalize(_dy(Th) - 2 * phi2 * Th),
-                normalize(-_dx(Th) + 2 * phi1 * Th))
+        phi1, phi2 = self.value("phi")
+        Th = self.value("Theta")
+        return self._out("theta", self._dy(Th) - 2 * phi2 * Th,
+                         -self._dx(Th) + 2 * phi1 * Th)
 
     # -- L chain -----------------------------------------------------------
 
     @cached_property
     def L(self) -> sp.Expr:
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
-        t1, t2 = self.theta
-        Th = self.Theta
+        P, Q, R, S = self._pqrs
+        t1, t2 = self.value("theta")
+        Th = self.value("Theta")
+        _dx, _dy = self._dx, self._dy
         # The three derivative terms carry the opposite sign from the source
         # display; as printed they break the weight -4 transformation law on
         # any instance where theta is not constant.
-        return normalize(
+        return self._out("L",
             t1 * t2 * (_dy(t2) - _dx(t1)) - t2**2 * _dy(t1) + t1**2 * _dx(t2)
             - P * t1**3 - 3 * Q * t1**2 * t2 - 3 * R * t1 * t2**2 - S * t2**3
             - Half * Th**2)
 
     @cached_property
     def L1(self) -> sp.Expr:
-        t1, t2 = self.theta
-        phi1, phi2 = self.phi
-        L = self.L
-        return normalize(_dx(L) * t1 + _dy(L) * t2
+        t1, t2 = self.value("theta")
+        phi1, phi2 = self.value("phi")
+        L = self.value("L")
+        return self._out("L1", self._dx(L) * t1 + self._dy(L) * t2
                          - 4 * L * (phi1 * t1 + phi2 * t2))
 
     @cached_property
     def W(self) -> sp.Expr:
-        t1, t2 = self.theta
-        phi1, phi2 = self.phi
-        L1 = self.L1
-        return normalize(_dx(L1) * t1 + _dy(L1) * t2
+        t1, t2 = self.value("theta")
+        phi1, phi2 = self.value("phi")
+        L1 = self.value("L1")
+        return self._out("W", self._dx(L1) * t1 + self._dy(L1) * t2
                          - 5 * L1 * (phi1 * t1 + phi2 * t2))
 
     @cached_property
     def V(self) -> sp.Expr:
-        phi1, phi2 = self.phi
-        L1 = self.L1
-        return normalize(_dx(L1) * self.B - _dy(L1) * self.A
-                         - 5 * L1 * (self.B * phi1 - self.A * phi2))
+        phi1, phi2 = self.value("phi")
+        A, B, L1 = self.value("A"), self.value("B"), self.value("L1")
+        return self._out("V", self._dx(L1) * B - self._dy(L1) * A
+                         - 5 * L1 * (B * phi1 - A * phi2))
 
     # -- gamma, xi, Gamma --------------------------------------------------
 
     @cached_property
     def gamma(self) -> tuple[sp.Expr, sp.Expr]:
-        A, B, N, Om = self.A, self.B, self.N, self.Omega
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
+        v = self.value
+        A, B, N, Om = v("A"), v("B"), v("N"), v("Omega")
+        P, Q, R, S = self._pqrs
+        _dx, _dy = self._dx, self._dy
         br = self._require_branch()
         if br.primary == "A":
             g1 = (-sp.Rational(6, 5) * B * N * (B * P + _dx(A)) / A**2
@@ -379,28 +435,29 @@ class InvariantPipeline:
                   + sp.Rational(18, 5) * N * A * R / B
                   - sp.Rational(6, 5) * N * (_dy(A) + _dx(B)) / B + _dx(N)
                   - sp.Rational(12, 5) * N * Q + 2 * Om * A)
-        return normalize(g1), normalize(g2)
+        return self._out("gamma", g1, g2)
 
     @cached_property
     def xi(self) -> tuple[sp.Expr, sp.Expr]:
-        g1, g2 = self.gamma
-        return (normalize(-2 * self.Omega * self.B - g1),
-                normalize(2 * self.Omega * self.A - g2))
+        g1, g2 = self.value("gamma")
+        A, B, Om = self.value("A"), self.value("B"), self.value("Omega")
+        return self._out("xi", -2 * Om * B - g1, 2 * Om * A - g2)
 
     @cached_property
     def m_verdict(self) -> ZeroVerdict:
-        return self.zero_verdict(self.M)
+        return self.zero_verdict(self.value("M"))
 
     @cached_property
     def Gamma(self) -> sp.Expr:
         if self.m_verdict.is_zero:
             raise GammaUndefined("M vanishes identically; Gamma divides by M")
-        P, Q, R, S = self.ode.P, self.ode.Q, self.ode.R, self.ode.S
-        g1, g2 = self.gamma
-        return normalize(
+        P, Q, R, S = self._pqrs
+        g1, g2 = self.value("gamma")
+        _dx, _dy = self._dx, self._dy
+        return self._out("Gamma",
             (g1 * g2 * (_dx(g1) - _dy(g2)) + g2**2 * _dy(g1) - g1**2 * _dx(g2)
              + P * g1**3 + 3 * Q * g1**2 * g2 + 3 * R * g1 * g2**2 + S * g2**3)
-            / self.M)
+            / self.value("M"))
 
     # -- pseudo wrappers ---------------------------------------------------
 

@@ -113,3 +113,23 @@ def test_report_condition_lookup():
 def test_trigonometric_example_classifies_painleve1():
     cls = classify(cn.example1_trigonometric())
     assert cls.kind == "painleve1"
+
+
+@pytest.mark.parametrize("c", [1, 2, -1])
+def test_autonomous_cubic_is_not_painleve2(c):
+    """y'' = c*y^3 passes conditions 1-4 of Theorem 2 (I1 = 18/5), but I9 = 0,
+    so J = (4 + 10*I6 - 60*I3)/(50*sqrt(I9)) is undefined."""
+    cls = classify(OdeCubic(c * Y**3, ZERO, ZERO, ZERO))
+    assert cls.kind == "not_equivalent"
+    assert cls.J is None
+    rep = cls.reports["painleve2"]
+    assert rep.condition("Theorem 2 condition 4").holds is True
+    i9 = rep.condition("Theorem 2 condition 5: I9 != 0")
+    assert i9.holds is False and i9.paper_ref == "Theorem 2(J)"
+
+
+def test_painleve2_reports_the_j_conditions():
+    rep = check_painleve2(cn.painleve2(1))
+    assert [c.label for c in rep.conditions[-2:]] == [
+        "Theorem 2 condition 5: I9 != 0", "Theorem 2 condition 6: J^2 constant"]
+    assert rep.passed is True

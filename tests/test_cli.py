@@ -2,6 +2,7 @@
 
 import io
 import json
+import signal
 
 import pytest
 import sympy as sp
@@ -140,10 +141,31 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "6*y^2 +"],               # parse error
     ["classify", "--rhs", "x", "--param", "oops"],  # malformed binding
     ["classify", "--rhs", "p^4"],                   # not cubic in y'
+    ["classify", "--rhs", "1/0"],                   # undefined input
+    ["classify", "--rhs", "y/(x-x)"],
+    ["classify", "--rhs", "ln(0)"],
+    ["classify", "--rhs", "x", "--param", "x=1"],   # binds a variable
+    ["classify", "--rhs", "x", "--param", "y=1"],
+    ["classify", "--rhs", "x", "--param", "p=1"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)
     assert code == 1
+
+
+def test_trigonometric_identity_input_ends_in_time():
+    """Once hung computing xi and Gamma after Theorem 2 condition 4 failed."""
+    def give_up(signum, frame):
+        raise TimeoutError("classify ran for more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(30)
+    try:
+        code, _ = run(["classify", "--rhs", "sin(y)^2+cos(y)^2*y^3+x"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3)
 
 
 def test_unknown_subcommand_exit_one():

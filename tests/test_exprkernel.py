@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
                                 X, Y, DegenerateSubstitution, differentiate,
-                                evaluate_numeric, is_identically_zero,
-                                normalize, random_rational, substitute)
+                                evaluate_numeric, field_for,
+                                is_identically_zero, normalize,
+                                random_rational, substitute)
 
 
 def test_normalize_cancels_rational_functions():
@@ -85,6 +86,72 @@ def test_zero_verdict_trig_nonzero():
 def test_zero_verdict_trig_zero_via_normal_form():
     v = is_identically_zero(sp.sin(X)**2 + sp.cos(X)**2 - 1)
     assert v.is_zero
+
+
+@pytest.mark.parametrize("e", [
+    sp.sin(X * Y)**4 - sp.cos(X * Y)**4 - sp.sin(X * Y)**2 + sp.cos(X * Y)**2,
+    sp.exp(2 * Y) - sp.Pow(sp.exp(Y), 2, evaluate=False),
+    X**sp.Rational(2, 5) - sp.Pow(X**sp.Rational(1, 5), 2, evaluate=False),
+], ids=["pythagorean", "exp", "root"])
+def test_atom_identities_vanish_in_canonical_form(e):
+    assert e != 0  # sympy has not already cancelled it
+    v = is_identically_zero(e)
+    assert v.is_zero and v.note == "canonical form vanishes"
+
+
+def test_field_zero_test_takes_field_elements():
+    s, c = sp.sin(Y), sp.cos(Y)
+    field = field_for(X * s, c)
+    assert is_identically_zero(field(s) ** 2 + field(c) ** 2 - 1).is_zero
+    assert is_identically_zero(field(X * s)).is_nonzero
+
+
+# the argument of every atom is positive on the sample box [1, 2]^2, so that
+# ln and even roots are real there
+ATOMS = {
+    "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "ln": sp.log,
+    "sqrt": sp.sqrt, "cbrt": lambda u: u**sp.Rational(1, 3),
+}
+
+
+@st.composite
+def atom_polys(draw, kind):
+    a, b, c = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    atom = ATOMS[kind](a * X + b * Y**2 + c * X * Y)
+    k = draw(st.integers(1, 3))
+    p, q = draw(rational_exprs()), draw(rational_exprs())
+    return p * atom**k + q * atom
+
+
+def _agree(e, f, rng) -> bool:
+    """``e`` and ``f`` agree numerically at three rational points of the box."""
+    for _ in range(3):
+        point = {X: random_rational(rng), Y: random_rational(rng)}
+        u, v = evaluate_numeric(e, point), evaluate_numeric(f, point)
+        if abs(u - v) > mpmath.mpf(10)**-40 * max(1, abs(u), abs(v)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(ATOMS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_derivation_table_agrees_with_diff(kind, data):
+    e = data.draw(atom_polys(kind))
+    field = field_for(e)
+    f = field(e)
+    rng = random.Random(DEFAULT_SEED)
+    for var in (X, Y):
+        assert _agree(field.diff(f, var).as_expr(), sp.diff(e, var), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ATOMS)), st.sampled_from(sorted(ATOMS)),
+       st.data())
+def test_normalize_agrees_numerically(kind1, kind2, data):
+    e = (data.draw(atom_polys(kind1)) * data.draw(atom_polys(kind2))
+         / (1 + X**2 + data.draw(atom_polys(kind1))**2))
+    assert _agree(normalize(e), e, random.Random(DEFAULT_SEED))
 
 
 def test_evaluate_real_odd_root():
