@@ -193,13 +193,12 @@ class RationalField:
         self._roots: dict[sp.Expr, tuple[FracElement, int]] = {}
         # gen index, power k, replacement: gen**k is rewritten to replacement
         self._relations = []
-        # generators whose polynomials are decided exactly: the symbols, and
-        # i with i**2 = -1
-        exact = []
+        # every generator but the symbols and i (with i**2 = -1) is an atom
+        # whose presence sends a nonzero numerator to sampling
+        self._inexact = [i for i, g in enumerate(gens)
+                         if not (g.is_Symbol or g is sp.I)]
         ring_gens = self.ring.gens
         for i, g in enumerate(gens):
-            if g.is_Symbol or g is sp.I:
-                exact.append(i)
             if g is sp.I:
                 self._relations.append((i, 2, -self.ring.one))
             elif g.func is sp.cos:
@@ -214,7 +213,6 @@ class RationalField:
                 if g.base.is_Rational:
                     self._relations.append(
                         (i, q, self.ring.ground_new(QQ(int(g.base.p), int(g.base.q)))))
-        self._inexact = [i for i in range(len(gens)) if i not in exact]
         self._powers: dict[tuple[int, int], object] = {}
         self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
         self._tables: dict[sp.Symbol, tuple] = {}
