@@ -12,16 +12,17 @@ from typing import Literal, Optional
 
 import sympy as sp
 
+# normalize and is_identically_zero stay module globals: perfbench/tracing.py
+# replaces them here by module attribute
 from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, is_identically_zero,
-                         normalize, sample_point, evaluate_numeric,
-                         PoleAtPoint, EvenRootOfNegative)
+                         normalize, root_up_to_sign, sample_point,
+                         evaluate_numeric, PoleAtPoint, EvenRootOfNegative)
 from .invariants import BothComponentsZero, InvariantPipeline
 from .parsing import OdeCubic
 
 __all__ = [
     "ConditionCheck", "InvariantReport", "Classification", "SqrtOfNonPositive",
     "check_painleve1", "check_painleve2", "check_painleve3zero", "classify",
-    "sqrt_up_to_sign",
 ]
 
 
@@ -76,29 +77,6 @@ class Classification:
     @property
     def equivalent(self) -> bool:
         return self.kind in ("painleve1", "painleve2", "painleve3_zero")
-
-
-def sqrt_up_to_sign(e: sp.Expr) -> sp.Expr:
-    """Square root of a rational function, determined up to overall sign.
-
-    Factors over Q; even-multiplicity factors come out as rational functions,
-    the residual (including a possibly non-square rational constant or free
-    parameters) stays under a formal square root.
-    """
-    e = normalize(sp.sympify(e))
-    if e == 0:
-        return sp.Integer(0)
-    num, den = e.as_numer_denom()
-    out = sp.Integer(1)
-    residual = sp.Integer(1)
-    for part, sign in ((num, 1), (den, -1)):
-        coeff, factors = sp.factor_list(part)
-        for base, mult in [(sp.sympify(coeff), 1)] + list(factors):
-            half, odd = divmod(mult, 2)
-            out *= base ** (half * sign)
-            if odd:
-                residual *= base ** sign
-    return normalize(out) * sp.sqrt(residual)
 
 
 def _check(report: InvariantReport, label: str, ref: str, verdict: ZeroVerdict,
@@ -231,7 +209,7 @@ def _constant_J(report: InvariantReport, pipe: InvariantPipeline,
     if not params and j_sq.is_Rational and j_sq < 0:
         raise SqrtOfNonPositive(f"J^2 = {j_sq} < 0: no real parameter value")
     report.warnings.append("J is determined up to sign")
-    return sqrt_up_to_sign(j_sq)
+    return root_up_to_sign(j_sq, 2)
 
 
 def _numeric_constant_J(report: InvariantReport, j_sq: sp.Expr,
@@ -311,10 +289,11 @@ def check_painleve3zero(ode: OdeCubic, seed: int = DEFAULT_SEED,
     return report
 
 
-def classify(ode: OdeCubic, seed: int = DEFAULT_SEED) -> Classification:
+def classify(ode: OdeCubic, seed: int = DEFAULT_SEED,
+             pipe: InvariantPipeline | None = None) -> Classification:
     """Run all three theorem checks; the I1 / N conditions make the classes
     mutually exclusive, so at most one passes."""
-    pipe = InvariantPipeline(ode, seed=seed)
+    pipe = pipe or InvariantPipeline(ode, seed=seed)
     reports: dict[str, InvariantReport] = {}
     diagnostics: list[str] = []
     sqrt_failure = None

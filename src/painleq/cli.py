@@ -14,7 +14,7 @@ where Q3 and R3 are the raw y' and y'^2 coefficients; the tool divides them
 by 3 to match the stored convention and echoes the stored values.  Exit
 codes: 0 definitive classification or successful verification, 2 not
 equivalent (or failed verification), 3 indeterminate, 1 usage or parse
-errors.
+errors (a map with zero Jacobian included).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sympy as sp
 
 from .classify import (Classification, InvariantReport, SqrtOfNonPositive,
                        classify)
-from .exprkernel import DEFAULT_SEED, X, Y, normalize
+from .exprkernel import DEFAULT_SEED, X, Y, is_identically_zero, normalize
 from .invariants import (BothComponentsZero, BranchDisagreement,
                          GammaUndefined, InvariantPipeline)
 from .parsing import (ExprSyntaxError, NotCubicInDerivative, OdeCubic,
@@ -254,9 +254,9 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_invariants(args, out) -> int:
     ode = _load_ode(args)
-    cls = classify(ode, seed=args.seed)
-    inv, warnings = _gather_invariants(cls)
     pipe = InvariantPipeline(ode, seed=args.seed)
+    cls = classify(ode, seed=args.seed, pipe=pipe)
+    inv, warnings = _gather_invariants(cls)
     pseudo = {}
     names = ["alpha", "N", "Omega", "M", "xi", "Gamma"]
     try:
@@ -319,6 +319,8 @@ def _cmd_verify(args, out) -> int:
     pmap = PointMap(_parse(args.x_new, "--x-new").subs(subs, simultaneous=True),
                     _parse(args.y_new, "--y-new").subs(subs, simultaneous=True),
                     branch="user", J=j)
+    if is_identically_zero(pmap.jacobian()).is_zero:
+        raise UsageError(f"map ({pmap.x_new}, {pmap.y_new}) has zero Jacobian")
     try:
         ok, residual = verify_map(ode, args.target, pmap,
                                   samples=args.samples, seed=args.seed,

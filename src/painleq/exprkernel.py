@@ -16,8 +16,10 @@ atoms.  Numerators and denominators are kept reduced modulo
 ``cos(u)**2 + sin(u)**2 - 1``, which eliminates ``cos(u)**2``; that ideal is
 prime, so a reduced numerator of 0 is an exact zero test.  A nonzero
 numerator that still holds atoms is certified by sampling, because distinct
-atoms need not be algebraically independent (``sin(2*y)`` and ``sin(y)``).
-:func:`normalize` is one round trip Expr -> field -> Expr.
+atoms need not be algebraically independent (``sin(2*y)`` and ``sin(y)``),
+except when they are one ``cos(u)``/``sin(u)`` pair of a rational ``u``.
+:func:`normalize` is one round trip Expr -> field -> Expr, and
+:func:`root_up_to_sign` takes n-th roots by factoring in the field.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
     "X", "Y", "P",
     "ZeroVerdict", "DegenerateSubstitution", "PoleAtPoint", "EvenRootOfNegative",
     "RationalField", "field_for",
-    "differentiate", "normalize", "is_identically_zero", "substitute",
+    "differentiate", "normalize", "root_up_to_sign", "is_identically_zero",
+    "substitute",
     "evaluate_numeric", "random_rational", "sample_point",
     "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "ZERO_THRESHOLD",
 ]
@@ -193,17 +196,29 @@ class RationalField:
         self._roots: dict[sp.Expr, tuple[FracElement, int]] = {}
         # gen index, power k, replacement: gen**k is rewritten to replacement
         self._relations = []
+        # the same for sin(u)**2 -> 1 - cos(u)**2, the other reduced form
+        self._sin_relations = []
         # every generator but the symbols and i (with i**2 = -1) is an atom
-        # whose presence sends a nonzero numerator to sampling
+        # whose presence sends a nonzero numerator to sampling, unless the
+        # atoms are one cos/sin pair listed here
         self._inexact = [i for i, g in enumerate(gens)
                          if not (g.is_Symbol or g is sp.I)]
+        self._exact_pairs = []
         ring_gens = self.ring.gens
         for i, g in enumerate(gens):
             if g is sp.I:
                 self._relations.append((i, 2, -self.ring.one))
             elif g.func is sp.cos:
-                sin_u = ring_gens[gens.index(sp.sin(g.args[0]))]
-                self._relations.append((i, 2, self.ring.one - sin_u**2))
+                u = g.args[0]
+                j = gens.index(sp.sin(u))
+                self._relations.append((i, 2, self.ring.one - ring_gens[j]**2))
+                self._sin_relations.append((j, 2, self.ring.one - ring_gens[i]**2))
+                # for a nonconstant rational u of x and y, sin(u) is
+                # transcendental over the rational functions of x, y and the
+                # parameters, so the reduced form is canonical
+                if u.free_symbols and u.free_symbols <= {X, Y} \
+                        and u.is_rational_function(X, Y):
+                    self._exact_pairs.append({i, j})
             elif g.func is sp.exp or g is sp.E:
                 c, m = _exp_split(g.args[0] if g.args else sp.S.One)
                 self._exps[m] = (self.K.gens[i], c)
@@ -262,27 +277,29 @@ class RationalField:
 
     # -- reduction ----------------------------------------------------------
 
-    def _replacement_power(self, i: int, n: int):
+    def _replacement_power(self, i: int, n: int, relations):
+        # a generator index belongs to one relation in either list
         key = (i, n)
         if key not in self._powers:
-            repl = next(r for j, _, r in self._relations if j == i)
+            repl = next(r for j, _, r in relations if j == i)
             self._powers[key] = repl**n
         return self._powers[key]
 
-    def _reduce_poly(self, p):
+    def _reduce_poly(self, p, relations=None):
         """``p`` with every gen**k of a relation rewritten until none is left.
         The replacements hold no relation generator, so each pass removes
         one relation generator from every term it touches."""
+        relations = self._relations if relations is None else relations
         zero = self.ring.domain.zero
         while True:
             acc: dict = {}
             touched = False
             for monom, coeff in p.items():
-                for i, k, _ in self._relations:
+                for i, k, _ in relations:
                     if monom[i] >= k:
                         n, rest = divmod(monom[i], k)
                         base = monom[:i] + (rest,) + monom[i + 1:]
-                        for rm, rc in self._replacement_power(i, n).items():
+                        for rm, rc in self._replacement_power(i, n, relations).items():
                             mm = tuple(a + b for a, b in zip(base, rm))
                             acc[mm] = acc.get(mm, zero) + coeff * rc
                         touched = True
@@ -307,10 +324,20 @@ class RationalField:
         return self._make(f.numer, f.denom)
 
     def is_exact(self, p) -> bool:
-        """True when the polynomial ``p`` holds no atom, so that its being
-        nonzero is decided by its reduced form alone."""
+        """True when the reduced polynomial ``p`` holds no atom, or only one
+        cos(u)/sin(u) pair of a nonconstant rational u of x and y, so that
+        its being nonzero is decided by its reduced form alone."""
         degrees = p.degrees()
-        return all(degrees[i] <= 0 for i in self._inexact)
+        atoms = {i for i in self._inexact if degrees[i] > 0}
+        return not atoms or any(atoms <= pair for pair in self._exact_pairs)
+
+    def sin_reduced(self, f: FracElement) -> FracElement:
+        """The reduced ``f`` with every sin(u)**2 rewritten as
+        1 - cos(u)**2: the other reduced form, which field arithmetic does
+        not keep."""
+        rel = self._sin_relations
+        return self.K.new(self._reduce_poly(f.numer, rel),
+                          self._reduce_poly(f.denom, rel))
 
     # -- derivations --------------------------------------------------------
 
@@ -403,6 +430,75 @@ def normalize(e: sp.Expr) -> sp.Expr:
         return field(e).as_expr()
     except ZeroDivisionError:
         return sp.zoo
+
+
+def _root_parts(f: FracElement, n: int):
+    """(content, root, remainder) with f = content * root**n * remainder:
+    the content is rational, and root and remainder are lists of (factor,
+    exponent) whose remainder exponents lie strictly between -n and n.
+    Numerator and denominator of ``f`` are coprime, so no factor is in
+    both."""
+    content, root, rest = QQ.one, [], []
+    for poly, sign in ((f.numer, 1), (f.denom, -1)):
+        c, factors = poly.factor_list()
+        content = content * c if sign > 0 else content / c
+        for g, m in factors:
+            q, r = divmod(m, n)
+            if q:
+                root.append((g, sign * q))
+            if r:
+                rest.append((g, sign * r))
+    return content, root, rest
+
+
+def _product(factors) -> sp.Expr:
+    return sp.Mul(*(g.as_expr() ** k for g, k in factors))
+
+
+def _terms(factors) -> int:
+    return sum(len(g) * abs(k) for g, k in factors)
+
+
+def root_up_to_sign(e: sp.Expr, n: int) -> sp.Expr:
+    """An n-th root of the rational function ``e``, exact for odd ``n`` and
+    determined up to sign for even ``n``.
+
+    ``e`` is reduced in its :class:`RationalField` and its numerator and
+    denominator are factored over QQ.  Every factor of multiplicity at least
+    ``n`` comes out with its multiplicity divided by ``n``; whatever remains
+    stays under one ``**(1/n)``.  For odd ``n`` the root is the real one, so
+    a negative content comes out as a sign; for even ``n`` it stays under the
+    root.  When a ``sin(u)`` is present and a remainder is left, the form
+    with ``sin(u)**2`` rewritten as ``1 - cos(u)**2`` is tried too, and the
+    one leaving the smaller remainder is kept: ``9*x**2*(1 - sin(y)**2)`` is
+    ``(3*x*cos(y))**2``.
+    """
+    if n < 1:
+        raise ValueError(f"root index must be positive, got {n}")
+    e = sp.sympify(e)
+    if e.is_Rational:
+        content, root, rest = e, [], []
+    else:
+        field = field_for(e)
+        f = field(e)
+        content, root, rest = _root_parts(f, n)
+        if rest:
+            g = field.sin_reduced(f)
+            if g != f:
+                alt = _root_parts(g, n)
+                if _terms(alt[2]) < _terms(rest):
+                    content, root, rest = alt
+        content = QQ.to_sympy(content)
+    if content == 0:
+        return sp.S.Zero
+    out, radicand = _product(root), _product(rest)
+    if content < 0:
+        if n % 2:
+            out = -out
+        else:
+            radicand = -radicand
+        content = -content
+    return out * content ** sp.Rational(1, n) * radicand ** sp.Rational(1, n)
 
 
 def random_rational(rng: random.Random, lo: int = 1, hi: int = 2,

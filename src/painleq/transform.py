@@ -17,7 +17,8 @@ import sympy as sp
 
 from .classify import InvariantReport
 from .exprkernel import (DEFAULT_SEED, EvenRootOfNegative, P, PoleAtPoint, X,
-                         Y, is_identically_zero, normalize, random_rational)
+                         Y, is_identically_zero, normalize, random_rational,
+                         root_up_to_sign)
 from .parsing import NotCubicInDerivative, OdeCubic
 
 __all__ = [
@@ -65,42 +66,6 @@ class PointMap:
                          - sp.diff(self.x_new, Y) * sp.diff(self.y_new, X))
 
 
-def _collapse_powers(e: sp.Expr) -> sp.Expr:
-    """(b**p)**q -> b**(p*q), the real-branch reading used throughout."""
-    rule = lambda p: p.base.base ** (p.base.exp * p.exp)
-    prev = None
-    while prev != e:
-        prev = e
-        e = e.replace(lambda p: p.is_Pow and p.base.is_Pow, rule)
-    return e
-
-
-def _factor_radicands(e: sp.Expr) -> sp.Expr:
-    """Factor the base of every fractional power so perfect powers like
-    (x - y)**6 under a sixth root become visible to _collapse_powers."""
-    frac = lambda p: p.is_Pow and p.exp.is_Rational and not p.exp.is_Integer
-    return e.replace(frac, lambda p: sp.factor(p.base) ** p.exp)
-
-
-def _radical_simplify(e: sp.Expr) -> sp.Expr:
-    """Collapse nested radicals assuming positive radicands (the maps are
-    certified only on sample domains where all radicands are positive).
-    Trigonometric squares are restored first so that e.g. sqrt of a
-    1 - sin(u)**2 factor comes out as cos(u) rather than an absolute value."""
-    e = sp.trigsimp(sp.sympify(e))
-    e = sp.powsimp(sp.powdenest(sp.factor(e), force=True), force=True)
-    e = _factor_radicands(e)
-    e = _collapse_powers(e)
-    e = sp.powsimp(e, force=True)
-    try:
-        e = sp.cancel(e)
-    except sp.PolynomialError:
-        pass
-    # absolute values appear when a square is pulled out of a radical; the
-    # sign is covered by the +- branch arbitration, so drop them
-    return e.replace(sp.Abs, lambda a: a)
-
-
 def _checked(m: PointMap) -> PointMap:
     if is_identically_zero(m.jacobian()).is_zero:
         raise DegenerateMap(f"map ({m.x_new}, {m.y_new}) has zero Jacobian")
@@ -127,15 +92,15 @@ def map_painleve1(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
                   seed: int = DEFAULT_SEED, precision: int = 60) -> PointMap:
     """Change of variables onto y'' = 6y^2 + x from the passed Theorem 1 report.
 
-    x_new = (12*I1)^(-1/5) with the real fifth root; y_new carries a sign
-    choice, so both branches are built and the verifier picks the survivor.
+    x_new = (12*I1)^(-1/5) is the real fifth root, exact; y_new =
+    sqrt(I2*x_new/12) carries a sign choice, so both branches are built and
+    the verifier picks the survivor.
     """
     if not report.passed or report.target != "painleve1":
         raise ValueError("map_painleve1 requires a passing Theorem 1 report")
     I1, I2 = report.invariants["I1"], report.invariants["I2"]
-    x_new = _radical_simplify((12 * I1) ** sp.Rational(-1, 5))
-    y_mag = _radical_simplify(
-        sp.sqrt(I2) / (12 ** sp.Rational(3, 5) * I1 ** sp.Rational(1, 10)))
+    x_new = root_up_to_sign(1 / (12 * I1), 5)
+    y_mag = root_up_to_sign(I2 * x_new / 12, 2)
     cands = [_checked(PointMap(x_new, y_mag, branch="y+")),
              _checked(PointMap(x_new, -y_mag, branch="y-"))]
     return _arbitrate(report.ode, "painleve1", cands, samples, seed, precision)
@@ -146,25 +111,24 @@ def map_painleve2(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
                   precision: int = 60) -> PointMap:
     """Change of variables onto y'' = 2y^3 + x*y + J from a Theorem 2 report.
 
-    The x-formula is implemented with its first term over the cube root
-    (2500*I9)^(1/3); ``as_printed=True`` selects the sixth-root variant of
-    the source display instead, which fails verification (kept for the
-    documented arbitration).  J enters with both signs; the verifier decides.
+    With r = (2500*I9)^(-1/6), determined up to sign, y_new = r and x_new =
+    5*I6*r^2 - (3/2)*J/r, reduced to one expression; ``as_printed=True``
+    selects the source display's first term 5*I6*r instead, which fails
+    verification (kept for the documented arbitration).  J enters with both
+    signs; the verifier decides.
     """
     if not report.passed or report.target != "painleve2":
         raise ValueError("map_painleve2 requires a passing Theorem 2 report")
     I6, I9, J = (report.invariants[k] for k in ("I6", "I9", "J"))
     if J is sp.nan:
         raise BranchVerificationFailed("no real constant J is available")
-    base = 2500 * I9
-    y_new = _radical_simplify(base ** sp.Rational(-1, 6))
-    first_root = sp.Rational(1, 6) if as_printed else sp.Rational(1, 3)
+    r = root_up_to_sign(1 / (2500 * I9), 6)
+    first = 5 * I6 * (r if as_printed else r**2)
     cands = []
     for sign, tag in ((1, "J+"), (-1, "J-")):
         j = sign * J
-        x_new = _radical_simplify(
-            5 * I6 / base ** first_root - sp.Rational(3, 2) * j * base ** sp.Rational(1, 6))
-        cands.append(_checked(PointMap(x_new, y_new, branch=tag, J=j)))
+        x_new = normalize(first - sp.Rational(3, 2) * j / r)
+        cands.append(_checked(PointMap(x_new, r, branch=tag, J=j)))
         if J == 0:
             break
     return _arbitrate(report.ode, "painleve2", cands, samples, seed, precision)

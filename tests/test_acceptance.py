@@ -22,13 +22,14 @@ import sympy as sp
 from painleq import canonical as cn
 from painleq.classify import (check_painleve1, check_painleve2,
                               check_painleve3zero, classify)
-from painleq.exprkernel import X, Y, is_identically_zero, normalize
+from painleq.exprkernel import (X, Y, is_identically_zero, normalize,
+                                root_up_to_sign)
 from painleq.invariants import (BothComponentsZero, BranchDisagreement,
                                 InvariantPipeline)
 from painleq.parsing import OdeCubic
 from painleq.transform import (BranchVerificationFailed, PointMap,
                                map_painleve1, map_painleve2, pullback_ode,
-                               verify_map, _radical_simplify)
+                               verify_map)
 
 A_, B_, C_, D_ = sp.symbols("a b c d")
 
@@ -235,15 +236,11 @@ def test_criterion_9_p2zam_arbitration():
     with criterion(9, "x-formula misprint arbitration is pinned both ways"):
         rep = check_painleve2(cn.painleve2())
         I6, I9 = rep.invariants["I6"], rep.invariants["I9"]
-        base = 2500 * I9
+        r = root_up_to_sign(1 / (2500 * I9), 6)
         # symbolic substitution oracle: on Painleve II itself with J = a the
         # corrected first term reproduces x exactly, the printed one does not
-        corrected = _radical_simplify(
-            5 * I6 / base ** sp.Rational(1, 3)
-            - sp.Rational(3, 2) * A_ * base ** sp.Rational(1, 6))
-        printed = _radical_simplify(
-            5 * I6 / base ** sp.Rational(1, 6)
-            - sp.Rational(3, 2) * A_ * base ** sp.Rational(1, 6))
+        corrected = 5 * I6 * r**2 - sp.Rational(3, 2) * A_ / r
+        printed = 5 * I6 * r - sp.Rational(3, 2) * A_ / r
         assert zero(corrected - X)
         assert not zero(printed - X)
         # numeric arbitration on a concrete instance

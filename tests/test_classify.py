@@ -5,8 +5,8 @@ import sympy as sp
 
 from painleq import canonical as cn
 from painleq.classify import (check_painleve1, check_painleve2,
-                              check_painleve3zero, classify, sqrt_up_to_sign)
-from painleq.exprkernel import X, Y, normalize
+                              check_painleve3zero, classify)
+from painleq.exprkernel import X, Y, normalize, root_up_to_sign
 from painleq.parsing import OdeCubic
 
 ZERO = sp.Integer(0)
@@ -18,9 +18,9 @@ def zero(e) -> bool:
 
 
 def test_sqrt_up_to_sign():
-    assert zero(sqrt_up_to_sign(X**2 / Y**4) - X / Y**2)
-    assert sqrt_up_to_sign(ZERO) == 0
-    e = sqrt_up_to_sign(2 * X**2)
+    assert zero(root_up_to_sign(X**2 / Y**4, 2) - X / Y**2)
+    assert root_up_to_sign(ZERO, 2) == 0
+    e = root_up_to_sign(2 * X**2, 2)
     assert zero(e**2 - 2 * X**2)
 
 

@@ -9,6 +9,7 @@ import sympy as sp
 
 from painleq.cli import run_cli
 from painleq.exprkernel import normalize
+from painleq.invariants import InvariantPipeline
 from painleq.parsing import parse_expression
 
 
@@ -147,6 +148,8 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "x", "--param", "x=1"],   # binds a variable
     ["classify", "--rhs", "x", "--param", "y=1"],
     ["classify", "--rhs", "x", "--param", "p=1"],
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",  # zero Jacobian
+     "--x-new", "x", "--y-new", "0"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)
@@ -166,6 +169,29 @@ def test_trigonometric_identity_input_ends_in_time():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2, 3)
+
+
+def test_trigonometric_identity_input_failures_are_exact():
+    """One sin/cos pair of y: the reduced form decides nonzero exactly."""
+    _, text = run(["classify", "--rhs", "sin(y)^2+cos(y)^2*y^3+x"])
+    fails = [line for line in text.splitlines() if line.startswith("warning: ")
+             and " fails (" in line]
+    assert len(fails) == 3
+    assert all("(canonical form" in line for line in fails)
+    assert "exceeds tolerance" not in text
+
+
+def test_invariants_builds_one_pipeline(monkeypatch):
+    built = []
+    init = InvariantPipeline.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvariantPipeline, "__init__", counting)
+    code, _ = run(["invariants", "--rhs", "2*y^3 + x*y + a"])
+    assert code == 0 and len(built) == 1
 
 
 def test_unknown_subcommand_exit_one():

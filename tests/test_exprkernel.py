@@ -13,7 +13,7 @@ from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
                                 X, Y, DegenerateSubstitution, differentiate,
                                 evaluate_numeric, field_for,
                                 is_identically_zero, normalize,
-                                random_rational, substitute)
+                                random_rational, root_up_to_sign, substitute)
 
 
 def test_normalize_cancels_rational_functions():
@@ -104,6 +104,57 @@ def test_field_zero_test_takes_field_elements():
     field = field_for(X * s, c)
     assert is_identically_zero(field(s) ** 2 + field(c) ** 2 - 1).is_zero
     assert is_identically_zero(field(X * s)).is_nonzero
+
+
+def test_zero_verdict_exact_for_one_trig_pair():
+    e = sp.sin(Y)**2 * X + sp.cos(Y)**2 * Y**3 + sp.cos(Y) * sp.sin(Y)
+    assert is_identically_zero(e).note == \
+        "canonical form is a nonzero rational function"
+    # sin(2y) and sin(y) are algebraically dependent: still sampled
+    v = is_identically_zero(sp.sin(2 * Y) + sp.sin(Y))
+    assert v.is_nonzero and v.note.startswith("sample")
+    # a parameter or an atom in the argument: still sampled
+    for u in (sp.Symbol("a") * Y, sp.exp(Y)):
+        v = is_identically_zero(sp.sin(u) + X)
+        assert v.is_nonzero and v.note.startswith("sample")
+
+
+def test_root_up_to_sign_odd_root_of_negative_content():
+    r = root_up_to_sign(-(3 * X + 2 * Y - 2)**5 / 32, 5)
+    assert normalize(r + (3 * X + 2 * Y - 2) / 2) == 0
+    assert not r.has(sp.Integer(-1) ** sp.Rational(1, 5))
+    r = root_up_to_sign(-3 * X**5 * Y, 5)
+    assert r == -3 ** sp.Rational(1, 5) * X * Y ** sp.Rational(1, 5)
+
+
+def test_root_up_to_sign_sixth_root():
+    assert normalize(root_up_to_sign(64 * X**6 / (X + Y)**12, 6)
+                     - 2 * X / (X + Y)**2) == 0
+    r = root_up_to_sign(X**7 / Y**6, 6)
+    assert normalize(r - X * X ** sp.Rational(1, 6) / Y) == 0
+
+
+def test_root_up_to_sign_trig_square():
+    r = root_up_to_sign(9 * X**2 * (1 - sp.sin(Y)**2), 2)
+    assert normalize(r - 3 * X * sp.cos(Y)) == 0
+    r = root_up_to_sign(X**6 * sp.cos(Y)**6 * 64, 6)
+    assert normalize(r - 2 * X * sp.cos(Y)) == 0
+
+
+@st.composite
+def small_polys(draw):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return sum(c * X**(i % 2) * Y**(i // 2) for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polys(), small_polys(), small_polys(),
+       st.sampled_from((2, 3, 5, 6)))
+def test_root_up_to_sign_extracts_powers(f, g, h, n):
+    e = f**n * g / (1 + h**2)
+    r = root_up_to_sign(e, n)
+    # the real root for odd n, a root up to sign for even n
+    assert normalize(r**n - e) == 0 or (n % 2 == 0 and normalize(r**n + e) == 0)
 
 
 # the argument of every atom is positive on the sample box [1, 2]^2, so that

@@ -42,6 +42,18 @@ def test_map_painleve1_identity_on_itself():
     assert m.max_residual == 0.0
 
 
+def test_map_painleve1_exact_on_negative_affine_disguise():
+    """x_new is negative on the sample box: its fifth root must be the real
+    one, with no (-1)**(1/5) and no tenth root of I1 left in y_new."""
+    pm = PointMap(-sp.Rational(3, 2) * X - Y + 1, X - Y / 2)
+    src = pullback_ode(cn.painleve1(), pm)
+    m = map_painleve1(check_painleve1(src), samples=8)
+    assert zero(m.x_new + (3 * X + 2 * Y - 2) / 2)
+    assert not m.x_new.has(sp.Integer(-1) ** sp.Rational(1, 5))
+    assert zero(m.y_new - (X - Y / 2)) or zero(m.y_new + (X - Y / 2))
+    assert m.verified and m.max_residual < 1e-8
+
+
 def test_map_painleve1_rejects_failed_report():
     rep = check_painleve1(cn.painleve2(1))
     with pytest.raises(ValueError):
