@@ -316,8 +316,9 @@ def _cmd_verify(args, out) -> int:
     ode = _load_ode(args)
     subs = _bindings(args.param)
     j = None if args.J is None else _parse(args.J, "--J").subs(subs, simultaneous=True)
-    pmap = PointMap(_parse(args.x_new, "--x-new").subs(subs, simultaneous=True),
-                    _parse(args.y_new, "--y-new").subs(subs, simultaneous=True),
+    pmap = PointMap(*(_finite(_parse(text, flag).subs(subs, simultaneous=True), flag)
+                      for text, flag in ((args.x_new, "--x-new"),
+                                         (args.y_new, "--y-new"))),
                     branch="user", J=j)
     if is_identically_zero(pmap.jacobian()).is_zero:
         raise UsageError(f"map ({pmap.x_new}, {pmap.y_new}) has zero Jacobian")

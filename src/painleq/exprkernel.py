@@ -5,12 +5,16 @@ Expressions are immutable sympy objects over the plane variables ``x``, ``y``
 constants and free single-letter parameters.  This module provides the
 services the rest of the pipeline is built on: exact rational-function
 arithmetic with differentiation, canonical normalization, sound
-zero-testing, and high-precision numeric evaluation with real root branches.
+zero-testing, and high-precision numeric evaluation with real root branches
+(:func:`compile_numeric` turns an expression into closures once, so that
+evaluating it at many points walks no expression tree).
 
-Exact algebra runs in a :class:`RationalField`, one ``FracField`` over QQ
-per set of expressions.  Its generators are the variables, the parameters
-and every atom of the input: ``sin u`` and ``cos u`` as a pair, ``exp u``,
-``ln u`` and roots ``b**(1/q)``.  Its derivations ``d/dx`` and ``d/dy`` are
+Exact algebra runs in a :class:`RationalField`, one ``FracField`` over ZZ
+per set of expressions: numerators and denominators have integer
+coefficients, so cancelling never converts between QQ and ZZ.  Its
+generators are the variables, the parameters and every atom of the input:
+``sin u`` and ``cos u`` as a pair, ``exp u``, ``ln u`` and roots
+``b**(1/q)``.  Its derivations ``d/dx`` and ``d/dy`` are
 the partial derivatives in the generators plus the chain rule through the
 atoms.  Numerators and denominators are kept reduced modulo
 ``cos(u)**2 + sin(u)**2 - 1``, which eliminates ``cos(u)**2``; that ideal is
@@ -33,7 +37,7 @@ from typing import Literal, Mapping
 
 import mpmath
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
@@ -43,7 +47,8 @@ __all__ = [
     "RationalField", "field_for",
     "differentiate", "normalize", "root_up_to_sign", "is_identically_zero",
     "substitute",
-    "evaluate_numeric", "random_rational", "sample_point",
+    "evaluate_numeric", "compile_numeric", "numeric_point",
+    "random_rational", "sample_point",
     "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "ZERO_THRESHOLD",
 ]
 
@@ -178,9 +183,9 @@ def _generators(exprs) -> tuple[sp.Expr, ...]:
 
 
 class RationalField:
-    """Rational functions over QQ in fixed generators (see the module
-    docstring), with the derivations d/dx, d/dy and the reduction modulo
-    cos(u)**2 + sin(u)**2 - 1.
+    """Rational functions with integer coefficients in fixed generators (see
+    the module docstring), with the derivations d/dx, d/dy and the reduction
+    modulo cos(u)**2 + sin(u)**2 - 1.
 
     Elements are sympy ``FracElement`` values.  Field arithmetic on them is
     exact; :meth:`reduce` brings a result back to reduced form, and every
@@ -188,7 +193,7 @@ class RationalField:
     """
 
     def __init__(self, gens: tuple[sp.Expr, ...]):
-        self.K = FracField(gens, QQ, lex)
+        self.K = FracField(gens, ZZ, lex)
         self.ring = self.K.ring
         self.symbols = gens
         self._gen = dict(zip(gens, self.K.gens))
@@ -225,9 +230,11 @@ class RationalField:
             elif g.is_Pow and g.exp.is_Rational:
                 q = int(g.exp.q)
                 self._roots[g.base] = (self.K.gens[i], q)
-                if g.base.is_Rational:
+                # sympy writes a root of a rational number with an integer
+                # base: (1/2)**(1/3) is 2**(2/3)/2
+                if g.base.is_Integer:
                     self._relations.append(
-                        (i, q, self.ring.ground_new(QQ(int(g.base.p), int(g.base.q)))))
+                        (i, q, self.ring.ground_new(int(g.base))))
         self._powers: dict[tuple[int, int], object] = {}
         self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
         self._tables: dict[sp.Symbol, tuple] = {}
@@ -244,7 +251,7 @@ class RationalField:
             return g
         K = self.K
         if e.is_Rational:
-            return K(QQ(int(e.p), int(e.q)))
+            return self._rational(int(e.p), int(e.q))
         if e.is_Add:
             groups: dict = {}
             for a in e.args:
@@ -272,8 +279,13 @@ class RationalField:
                 if (c / unit).is_Integer:
                     return gen ** int(c / unit)
         if e.is_Float:
-            return K(QQ.from_sympy(e))
+            q = QQ.from_sympy(e)
+            return self._rational(int(q.numerator), int(q.denominator))
         raise ValueError(f"{e} is not a generator of {self.symbols}")
+
+    def _rational(self, p: int, q: int) -> FracElement:
+        """The constant p/q, for coprime p and q > 0."""
+        return self.K.raw_new(self.ring.ground_new(p), self.ring.ground_new(q))
 
     # -- reduction ----------------------------------------------------------
 
@@ -539,19 +551,22 @@ def is_identically_zero(e: sp.Expr | FracElement,
     if field.is_exact(f.numer):
         return ZeroVerdict("nonzero", "canonical form is a nonzero rational function")
     num = f.numer.as_expr()
+    run = compile_numeric(num, SAMPLE_PRECISION)
+    tol = mpmath.mpf(ZERO_THRESHOLD.numerator) / mpmath.mpf(ZERO_THRESHOLD.denominator)
     rng = random.Random(seed)
     tested = 0
     for _ in range(SAMPLE_COUNT * 4):
         if tested >= SAMPLE_COUNT:
             break
         point = sample_point(num, rng)
+        scale = [mpmath.mpf(0)]
         try:
-            val, scale = _eval_with_scale(num, point, SAMPLE_PRECISION)
+            with mpmath.workdps(SAMPLE_PRECISION):
+                val = run(numeric_point(point), scale)
         except (PoleAtPoint, EvenRootOfNegative):
             continue
         tested += 1
-        tol = mpmath.mpf(ZERO_THRESHOLD.numerator) / mpmath.mpf(ZERO_THRESHOLD.denominator)
-        if abs(val) > tol * max(scale, mpmath.mpf(1)):
+        if abs(val) > tol * max(scale[0], mpmath.mpf(1)):
             return ZeroVerdict("nonzero", f"sample {tested} exceeds tolerance")
     if tested == 0:
         return ZeroVerdict("unknown", "no non-singular sample point found")
@@ -581,81 +596,141 @@ def evaluate_numeric(e: sp.Expr, point: Mapping[sp.Symbol | str, object],
     """
     if precision < 30:
         raise ValueError("precision must be at least 30 digits")
-    subs = {sp.Symbol(k) if isinstance(k, str) else k: v for k, v in point.items()}
-    val, _scale = _eval_with_scale(sp.sympify(e), subs, precision)
-    return val
-
-
-def _eval_with_scale(e: sp.Expr, subs: Mapping[sp.Symbol, object],
-                     precision: int):
-    """Evaluate returning (value, largest intermediate magnitude)."""
+    run = compile_numeric(e, precision)
     with mpmath.workdps(precision):
-        guard = mpmath.mpf(10) ** (-(precision // 2))
-        scale = [mpmath.mpf(0)]
+        return run(numeric_point(point), [mpmath.mpf(0)])
 
-        def note(v):
-            a = abs(v)
-            if a > scale[0]:
-                scale[0] = a
-            return v
 
-        def ev(t: sp.Expr) -> mpmath.mpf:
-            if t.is_Rational:
-                return note(mpmath.mpf(t.p) / mpmath.mpf(t.q))
-            if t.is_Float:
-                return note(mpmath.mpf(str(t)))
-            if t.is_NumberSymbol:
-                return note(mpmath.mpf(str(sp.N(t, precision + 10))))
-            if t.is_Symbol:
-                if t not in subs:
+def numeric_point(point: Mapping[sp.Symbol | str, object]) -> dict[sp.Symbol, mpmath.mpf]:
+    """An exact rational point as ``mpf`` values, the form that the closures
+    of :func:`compile_numeric` read.  Call it at the working precision they
+    run at."""
+    out = {}
+    for k, v in point.items():
+        q = _to_fraction(v)
+        out[sp.Symbol(k) if isinstance(k, str) else k] = \
+            mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    return out
+
+
+def _note(v: mpmath.mpf, scale: list) -> mpmath.mpf:
+    a = abs(v)
+    if a > scale[0]:
+        scale[0] = a
+    return v
+
+
+def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
+    """Compile ``e`` once into nested closures, for evaluation at many points.
+
+    The result ``run(point, scale)`` evaluates ``e`` at ``point``, a mapping
+    from symbols to values made by :func:`numeric_point`, and must be called
+    under ``mpmath.workdps(precision)``.  It keeps in ``scale[0]`` the
+    largest magnitude of any intermediate value, which bounds the rounding
+    error.  Constants are computed here, at ``precision`` digits; sums go
+    through ``fsum`` and products multiply left to right.  Odd roots of
+    negative reals take the real branch; an even root of a negative radicand
+    raises EvenRootOfNegative, and a negative power, root or logarithm of a
+    value below the underflow guard raises PoleAtPoint.
+    """
+    mpf = mpmath.mpf
+    functions = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp}
+    # one closure per distinct subexpression; each takes (point, scale)
+    memo: dict = {}
+
+    def node(t: sp.Expr):
+        run = memo.get(t)
+        if run is None:
+            run = memo[t] = build(t)
+        return run
+
+    def constant(c):
+        size = abs(c)
+
+        def run(v, s):
+            if size > s[0]:
+                s[0] = size
+            return c
+        return run
+
+    def build(t: sp.Expr):
+        if t.is_Rational:
+            return constant(mpf(t.p) / mpf(t.q))
+        if t.is_Float:
+            return constant(mpf(str(t)))
+        if t.is_NumberSymbol:
+            return constant(mpf(str(sp.N(t, precision + 10))))
+        if t.is_Symbol:
+            def symbol(v, s):
+                if t not in v:
                     raise ValueError(f"no value assigned to symbol {t}")
-                v = subs[t]
-                return note(mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator))
-            if t.is_Add:
-                return note(mpmath.fsum(ev(a) for a in t.args))
-            if t.is_Mul:
-                r = mpmath.mpf(1)
-                for a in t.args:
-                    r *= ev(a)
-                return note(r)
-            if t.is_Pow:
-                b = ev(t.base)
-                ex = t.exp
-                if ex.is_Integer:
-                    n = int(ex)
-                    if n < 0 and abs(b) < guard:
-                        raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
-                    return note(b ** n)
-                if ex.is_Rational:
-                    num, den = int(ex.p), int(ex.q)
-                    if b < 0:
-                        if den % 2 == 0:
-                            raise EvenRootOfNegative(
-                                f"even root of negative radicand in {t}")
-                        root = -mpmath.root(-b, den)
-                    else:
-                        if num < 0 and b < guard:
-                            raise PoleAtPoint(f"radicand {t.base} ~ 0 under negative power")
-                        root = mpmath.root(b, den)
-                    if num < 0 and abs(root) < guard:
-                        raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
-                    return note(root ** num)
-                return note(b ** ev(ex))
-            if t.func is sp.sin:
-                return note(mpmath.sin(ev(t.args[0])))
-            if t.func is sp.cos:
-                return note(mpmath.cos(ev(t.args[0])))
-            if t.func is sp.exp:
-                return note(mpmath.exp(ev(t.args[0])))
-            if t.func is sp.log:
-                v = ev(t.args[0])
-                if v < guard:
-                    raise PoleAtPoint(f"ln of non-positive value in {t}")
-                return note(mpmath.log(v))
-            raise ValueError(f"cannot evaluate node {t!r}")
+                return _note(v[t], s)
+            return symbol
+        if t.is_Add:
+            terms = [node(a) for a in t.args]
+            return lambda v, s: _note(mpmath.fsum([f(v, s) for f in terms]), s)
+        if t.is_Mul:
+            first, *rest = [node(a) for a in t.args]
 
-        subs = {k: _to_fraction(v) for k, v in subs.items()}
-        return ev(e), scale[0]
+            def product(v, s):
+                r = first(v, s)
+                for f in rest:
+                    r *= f(v, s)
+                return _note(r, s)
+            return product
+        if t.is_Pow:
+            return power(t)
+        if t.func in functions:
+            fn, arg = functions[t.func], node(t.args[0])
+            return lambda v, s: _note(fn(arg(v, s)), s)
+        if t.func is sp.log:
+            arg = node(t.args[0])
+
+            def log(v, s):
+                u = arg(v, s)
+                if u < guard:
+                    raise PoleAtPoint(f"ln of non-positive value in {t}")
+                return _note(mpmath.log(u), s)
+            return log
+        raise ValueError(f"cannot evaluate node {t!r}")
+
+    def power(t: sp.Expr):
+        base, ex = node(t.base), t.exp
+        if ex.is_Integer:
+            n = int(ex)
+            if n >= 0:
+                return lambda v, s: _note(base(v, s) ** n, s)
+
+            def inverse(v, s):
+                b = base(v, s)
+                if abs(b) < guard:
+                    raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
+                return _note(b ** n, s)
+            return inverse
+        if ex.is_Rational:
+            num, den = int(ex.p), int(ex.q)
+
+            def root(v, s):
+                b = base(v, s)
+                if b < 0:
+                    if den % 2 == 0:
+                        raise EvenRootOfNegative(
+                            f"even root of negative radicand in {t}")
+                    r = -mpmath.root(-b, den)
+                else:
+                    if num < 0 and b < guard:
+                        raise PoleAtPoint(f"radicand {t.base} ~ 0 under negative power")
+                    r = mpmath.root(b, den)
+                if num < 0 and abs(r) < guard:
+                    raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
+                return _note(r ** num, s)
+            return root
+        exponent = node(ex)
+        return lambda v, s: _note(base(v, s) ** exponent(v, s), s)
+
+    with mpmath.workdps(precision):
+        guard = mpf(10) ** (-(precision // 2))
+        return node(sp.sympify(e))
 
 
 def _to_fraction(v: object) -> Fraction:

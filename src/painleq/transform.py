@@ -14,10 +14,12 @@ from typing import Optional
 
 import mpmath
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .classify import InvariantReport
 from .exprkernel import (DEFAULT_SEED, EvenRootOfNegative, P, PoleAtPoint, X,
-                         Y, is_identically_zero, normalize, random_rational,
+                         Y, compile_numeric, field_for, is_identically_zero,
+                         normalize, numeric_point, random_rational,
                          root_up_to_sign)
 from .parsing import NotCubicInDerivative, OdeCubic
 
@@ -61,9 +63,12 @@ class PointMap:
     max_residual: Optional[float] = None
     sample_box: str = "x, y in [1, 2], y' in [-1, 1]"
 
-    def jacobian(self) -> sp.Expr:
-        return normalize(sp.diff(self.x_new, X) * sp.diff(self.y_new, Y)
-                         - sp.diff(self.x_new, Y) * sp.diff(self.y_new, X))
+    def jacobian(self) -> FracElement:
+        """The Jacobian determinant, reduced in the map's RationalField."""
+        F = field_for(self.x_new, self.y_new)
+        xm, ym = F(self.x_new), F(self.y_new)
+        return F.reduce(F.diff(xm, X) * F.diff(ym, Y)
+                        - F.diff(xm, Y) * F.diff(ym, X))
 
 
 def _checked(m: PointMap) -> PointMap:
@@ -74,16 +79,16 @@ def _checked(m: PointMap) -> PointMap:
 
 def _arbitrate(source: OdeCubic, target: str, candidates: list[PointMap],
                samples: int, seed: int, precision: int = 60) -> PointMap:
-    """Verify every branch; return the surviving one (ties keep the first)."""
+    """Verify the branches in order; return the first that verifies."""
     results = []
     for cand in candidates:
         ok, res = verify_map(source, target, cand, samples=samples, seed=seed,
                              precision=precision)
-        results.append(replace(cand, verified=ok,
-                               max_residual=None if res is None else float(res)))
-    for r in results:
-        if r.verified:
+        r = replace(cand, verified=ok,
+                    max_residual=None if res is None else float(res))
+        if ok:
             return r
+        results.append(r)
     notes = "; ".join(f"{r.branch}: residual {r.max_residual}" for r in results)
     raise BranchVerificationFailed(f"no sign branch verifies ({notes})")
 
@@ -138,9 +143,10 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     """Equation in (x, y) whose solutions are carried onto solutions of
     ``target`` by ``pmap``; used to generate disguised test instances."""
     xm, ym = sp.sympify(pmap.x_new), sp.sympify(pmap.y_new)
-    det = normalize(sp.diff(xm, X) * sp.diff(ym, Y) - sp.diff(xm, Y) * sp.diff(ym, X))
+    det = pmap.jacobian()
     if is_identically_zero(det).is_zero:
         raise DegenerateMap("pullback through a map with zero Jacobian")
+    det = det.as_expr()
     u = sp.diff(xm, X) + P * sp.diff(xm, Y)
     v = sp.diff(ym, X) + P * sp.diff(ym, Y)
     a2 = (sp.diff(ym, X, 2) + 2 * P * sp.diff(ym, X, Y) + P**2 * sp.diff(ym, Y, 2))
@@ -176,8 +182,6 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
         raise ValueError("need at least one sample")
     if target not in TARGET_RHS:
         raise ValueError(f"unknown target class {target!r}")
-    from .exprkernel import _eval_with_scale
-
     xm, ym = sp.sympify(pmap.x_new), sp.sympify(pmap.y_new)
     pieces = {
         "xm": xm, "ym": ym,
@@ -192,6 +196,8 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
     free = set().union(*(e.free_symbols for e in pieces.values())) - {P}
     j_val = sp.sympify(pmap.J) if pmap.J is not None else sp.Integer(0)
     free |= j_val.free_symbols
+    jets = {k: compile_numeric(e, precision) for k, e in pieces.items()}
+    j_jet = compile_numeric(j_val, precision)
     rng = random.Random(seed)
     prec = precision
     guard = mpmath.mpf(10) ** -20
@@ -204,9 +210,9 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
         point[P] = random_rational(rng, -1, 1)
         try:
             with mpmath.workdps(prec):
-                val = {k: _eval_with_scale(e, point, prec)[0]
-                       for k, e in pieces.items()}
-                p0 = mpmath.mpf(point[P].numerator) / point[P].denominator
+                at, notes = numeric_point(point), [mpmath.mpf(0)]
+                val = {k: run(at, notes) for k, run in jets.items()}
+                p0 = at[P]
                 q0 = val["rhs"]
                 u = val["xm_x"] + p0 * val["xm_y"]
                 v = val["ym_x"] + p0 * val["ym_y"]
@@ -218,7 +224,7 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
                       + q0 * val["xm_y"])
                 y1 = v / u
                 y2 = (a2 * u - v * b2) / u**3
-                jv = _eval_with_scale(j_val, point, prec)[0]
+                jv = j_jet(at, notes)
                 t = TARGET_RHS[target](val["xm"], val["ym"], y1, jv)
                 scale = max(abs(y2), abs(t), mpmath.mpf(1))
                 rel = abs(y2 - t) / scale

@@ -150,6 +150,8 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "x", "--param", "p=1"],
     ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",  # zero Jacobian
      "--x-new", "x", "--y-new", "0"],
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",  # undefined map
+     "--x-new", "1/(x-x)", "--y-new", "y"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
-                                X, Y, DegenerateSubstitution, differentiate,
-                                evaluate_numeric, field_for,
-                                is_identically_zero, normalize,
+                                X, Y, DegenerateSubstitution, compile_numeric,
+                                differentiate, evaluate_numeric, field_for,
+                                is_identically_zero, normalize, numeric_point,
                                 random_rational, root_up_to_sign, substitute)
 
 
@@ -31,6 +31,27 @@ def test_normalize_cos_square_rewrite():
     assert normalize(e) == 0
     e = sp.cos(Y)**4 - (1 - sp.sin(Y)**2)**2
     assert normalize(e) == 0
+
+
+def test_normalize_prints_rational_coefficients():
+    assert str(normalize(X / 3 + Y**2 / 5)) == "x/3 + y**2/5"
+
+
+def test_float_and_rational_root_convert_exactly():
+    assert normalize(sp.Float(0.5) * X) == X / 2
+    # sympy writes (1/2)**(1/3) as 2**(2/3)/2: the root of an integer
+    r = sp.Rational(1, 2) ** sp.Rational(1, 3)
+    assert normalize(r * X) == 2 ** sp.Rational(2, 3) * X / 2
+    assert is_identically_zero(r**3 * X - X / 2).is_zero
+
+
+def test_field_holds_integer_coefficients():
+    e = (X / 3 - Y**2 / 5) / (-X * Y / 7 + sp.Rational(1, 2)) + sp.sin(Y) / 6
+    f = field_for(e)(e)
+    for poly in (f.numer, f.denom):
+        assert all(isinstance(c, int) for c in poly.coeffs())
+    assert f.denom.LC > 0
+    assert normalize(f.as_expr() - e) == 0
 
 
 def test_normalize_keeps_odd_cos_power():
@@ -196,6 +217,23 @@ def test_normalize_agrees_numerically(kind1, kind2, data):
     e = (data.draw(atom_polys(kind1)) * data.draw(atom_polys(kind2))
          / (1 + X**2 + data.draw(atom_polys(kind1))**2))
     assert _agree(normalize(e), e, random.Random(DEFAULT_SEED))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_exprs(), st.sampled_from(sorted(ATOMS)), st.data())
+def test_compiled_evaluation_agrees_with_sympy(e, kind, data):
+    e = e + data.draw(atom_polys(kind)) + sp.pi / sp.E
+    run = compile_numeric(e, 60)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    point = {X: random_rational(rng), Y: random_rational(rng)}
+    with mpmath.workdps(60):
+        scale = [mpmath.mpf(0)]
+        value = run(numeric_point(point), scale)
+        assert scale[0] >= abs(value)
+    ref = sp.N(e.subs({k: sp.Rational(v) for k, v in point.items()}), 80)
+    with mpmath.workdps(80):
+        ref = mpmath.mpf(str(ref))
+        assert abs(value - ref) <= mpmath.mpf(10)**-50 * max(1, abs(ref))
 
 
 def test_evaluate_real_odd_root():

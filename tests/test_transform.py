@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from painleq import canonical as cn
+from painleq import transform
 from painleq.classify import check_painleve1, check_painleve2, classify
 from painleq.exprkernel import X, Y, normalize
 from painleq.transform import (BranchVerificationFailed, DegenerateMap,
@@ -54,6 +55,27 @@ def test_map_painleve1_exact_on_negative_affine_disguise():
     assert m.verified and m.max_residual < 1e-8
 
 
+@pytest.mark.parametrize("sign, branch, calls", [(1, "y+", 1), (-1, "y-", 2)])
+def test_arbitration_stops_at_first_verified_branch(monkeypatch, sign, branch,
+                                                    calls):
+    """y+ is verified first; y- only after y+ has failed."""
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[2].branch)
+        return verify_map(*args, **kwargs)
+
+    pm = PointMap(X + 1, sign * Y)
+    src = pullback_ode(cn.painleve1(), pm)
+    report = check_painleve1(src)
+    monkeypatch.setattr(transform, "verify_map", counting)
+    m = map_painleve1(report, samples=8)
+    assert len(seen) == calls and seen[-1] == branch == m.branch
+    assert m.x_new == X + 1 and m.y_new == sign * Y and m.verified
+    ok, res = verify_map(src, "painleve1", pm, samples=8)
+    assert ok and m.max_residual == float(res)
+
+
 def test_map_painleve1_rejects_failed_report():
     rep = check_painleve1(cn.painleve2(1))
     with pytest.raises(ValueError):
@@ -85,6 +107,21 @@ def test_map_painleve2_as_printed_fails_verification():
     rep = check_painleve2(cn.painleve2(1))
     with pytest.raises(BranchVerificationFailed):
         map_painleve2(rep, as_printed=True)
+
+
+def test_branch_failure_lists_every_residual():
+    rep = check_painleve2(cn.painleve2(1))
+    with pytest.raises(BranchVerificationFailed, match="J\\+: residual .*; "
+                       "J-: residual"):
+        map_painleve2(rep, as_printed=True)
+
+
+def test_jacobian_in_the_field():
+    assert PointMap(X * sp.sin(Y), X * sp.cos(Y)).jacobian().as_expr() == -X
+    jac = PointMap(X + Y**2, Y * X**sp.Rational(1, 3)).jacobian()
+    assert zero(jac.as_expr() - X**sp.Rational(1, 3)
+                + 2 * Y**2 / (3 * X**sp.Rational(2, 3)))
+    assert not PointMap(X + Y, 2 * X + 2 * Y).jacobian()
 
 
 def test_verify_identity_zero_residual():
