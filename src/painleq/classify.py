@@ -12,10 +12,11 @@ from typing import Literal, Optional
 
 import sympy as sp
 
-# normalize and is_identically_zero stay module globals: perfbench/tracing.py
-# replaces them here by module attribute
+# normalize and is_identically_zero stay module globals, normalize although
+# nothing here calls it: perfbench/tracing.py replaces them here by module
+# attribute
 from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, is_identically_zero,
-                         normalize, root_up_to_sign, sample_point,
+                         normalize, root_up_to_sign, sample_point, to_expr,
                          evaluate_numeric, PoleAtPoint, EvenRootOfNegative)
 from .invariants import BothComponentsZero, InvariantPipeline
 from .parsing import OdeCubic
@@ -133,8 +134,8 @@ def check_painleve1(ode: OdeCubic, seed: int = DEFAULT_SEED,
     report.warnings.extend(pipe.warnings)
     if report.passed:
         F, L = pipe.field, v("L")
-        report.invariants["I1"] = F.reduce(v("L1")**4 / L**5).as_expr()
-        report.invariants["I2"] = F.reduce(v("Theta")**2 / L).as_expr()
+        report.invariants["I1"] = to_expr(F.reduce(v("L1")**4 / L**5))
+        report.invariants["I2"] = to_expr(F.reduce(v("Theta")**2 / L))
     return report
 
 
@@ -167,7 +168,7 @@ def _pii_style_invariants(pipe: InvariantPipeline, report: InvariantReport,
     inv = {"I1": I1, "I3": I3,
            "I6": F.reduce((B * I3_x - A * I3_y) / N),
            "I9": F.reduce((xi1 * I3_x + xi2 * I3_y)**2 / N**3)}
-    report.invariants.update({k: f.as_expr() for k, f in inv.items()})
+    report.invariants.update({k: to_expr(f) for k, f in inv.items()})
     return inv
 
 
@@ -195,7 +196,7 @@ def _constant_J(report: InvariantReport, pipe: InvariantPipeline,
                     / (2500 * inv["I9"]))
     label, ref = "Theorem 2 condition 6: J^2 constant", "Theorem 2(J)"
     verdict = _gradient_verdict(pipe, j_sq)
-    j_sq = j_sq.as_expr()
+    j_sq = to_expr(j_sq)
     if verdict.is_unknown:
         holds, j = _numeric_constant_J(report, j_sq, pipe.seed)
         report.conditions.append(ConditionCheck(label, ref, verdict, holds))

@@ -37,6 +37,7 @@ from typing import Literal, Mapping
 
 import mpmath
 import sympy as sp
+from sympy.core.basic import _args_sortkey
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
@@ -45,7 +46,8 @@ __all__ = [
     "X", "Y", "P",
     "ZeroVerdict", "DegenerateSubstitution", "PoleAtPoint", "EvenRootOfNegative",
     "RationalField", "field_for",
-    "differentiate", "normalize", "root_up_to_sign", "is_identically_zero",
+    "differentiate", "normalize", "to_expr", "root_up_to_sign",
+    "is_identically_zero",
     "substitute",
     "evaluate_numeric", "compile_numeric", "numeric_point",
     "random_rational", "sample_point",
@@ -136,6 +138,13 @@ def _poly_sum(ring, polys):
     return ring.from_dict({m: c for m, c in acc.items() if c})
 
 
+def _symbol_order(symbols) -> list[sp.Symbol]:
+    """The symbols in generator order: x and y first when both are present,
+    then the rest by name."""
+    first = [X, Y] if {X, Y} <= symbols else []
+    return first + sorted(symbols - set(first), key=sp.default_sort_key)
+
+
 def _generators(exprs) -> tuple[sp.Expr, ...]:
     """The variables, parameters and atoms of ``exprs``, in a fixed order:
     symbols, then cos/sin pairs (cos first), exponentials, logarithms, roots
@@ -167,8 +176,7 @@ def _generators(exprs) -> tuple[sp.Expr, ...]:
         if e.has(sp.I):
             other.add(sp.I)
     key = sp.default_sort_key
-    gens = [X, Y] if {X, Y} <= symbols else []
-    gens += sorted(symbols - set(gens), key=key)
+    gens = _symbol_order(symbols)
     for u in sorted(trig, key=key):
         gens += [sp.cos(u), sp.sin(u)]
     for m in sorted(exps, key=key):
@@ -235,6 +243,7 @@ class RationalField:
                 if g.base.is_Integer:
                     self._relations.append(
                         (i, q, self.ring.ground_new(int(g.base))))
+        self._related = {i for i, _, _ in self._relations + self._sin_relations}
         self._powers: dict[tuple[int, int], object] = {}
         self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
         self._tables: dict[sp.Symbol, tuple] = {}
@@ -351,6 +360,34 @@ class RationalField:
         return self.K.new(self._reduce_poly(f.numer, rel),
                           self._reduce_poly(f.denom, rel))
 
+    def has_relation(self, p) -> bool:
+        """True when the polynomial ``p`` holds a generator that a relation
+        rewrites: i, a root of an integer, or either member of a cos/sin
+        pair."""
+        return any(p.degree(i) > 0 for i in self._related)
+
+    def own_sign(self, f: FracElement, *polys) -> FracElement:
+        """``f`` with the sign that :func:`normalize` gives it when the
+        expression it converts holds the generators of ``polys`` (by default
+        those of ``f``).  ``K.new`` keeps the leading coefficient of the
+        denominator positive in the lex order of the generators, and the
+        field of an expression with fewer symbols can order them
+        differently: without ``y``, ``a`` comes before ``x``."""
+        used = set()
+        for p in polys or (f.numer, f.denom):
+            for i, d in enumerate(p.degrees()):
+                if d > 0:
+                    used |= self.symbols[i].free_symbols
+        own = _symbol_order(used)
+        if own == [g for g in self.symbols if g in used]:
+            return f
+        order = [self.symbols.index(s) for s in own] + [
+            i for i, g in enumerate(self.symbols) if not g.is_Symbol]
+        lead = max(f.denom.itermonoms(), key=lambda m: [m[i] for i in order])
+        if f.denom[lead] > 0:
+            return f
+        return self.K.raw_new(-f.numer, -f.denom)
+
     # -- derivations --------------------------------------------------------
 
     def _generator_diff(self, i: int, var: sp.Symbol) -> FracElement:
@@ -426,6 +463,86 @@ def field_for(*exprs: sp.Expr) -> RationalField:
     return _field_on(_generators([sp.sympify(e) for e in exprs]))
 
 
+class _TreeBuilder:
+    """Builds the expressions of the polynomials of one ring.
+
+    A term whose factors are all symbols and powers of ``sin``/``cos`` is
+    built as the ``Mul`` that ``Mul.flatten`` would return: its factors
+    sorted by ``_args_sortkey`` and the coefficient first; such terms are
+    summed into the ``Add`` that ``Add.flatten`` would return, the number
+    term first.  Powers of the other generators evaluate (``exp(y)**2`` is
+    ``exp(2*y)``, ``I**2`` is -1) and their terms can merge (``x*r`` and
+    ``r**4`` are both ``x**(4/3)`` for ``r = x**(1/3)``), so a polynomial
+    holding one of them goes through sympy's constructors.
+    """
+
+    def __init__(self, gens: tuple[sp.Expr, ...]):
+        self.gens = gens
+        self.evaluating = [i for i, g in enumerate(gens)
+                           if not (g.is_Symbol or g.func in (sp.sin, sp.cos))]
+        self._powers: dict[tuple[int, int], sp.Expr] = {}
+
+    def _factors(self, monom) -> list[sp.Expr]:
+        out = []
+        for i, k in enumerate(monom):
+            if k:
+                p = self._powers.get((i, k))
+                if p is None:
+                    p = self._powers[(i, k)] = sp.Pow(self.gens[i], k)
+                out.append(p)
+        return out
+
+    def direct(self, poly) -> bool:
+        """True when every term of ``poly`` can be built directly."""
+        ev = self.evaluating
+        return not ev or not any(m[i] for m in poly.itermonoms() for i in ev)
+
+    def build(self, poly, den: int = 1) -> sp.Expr:
+        """``poly / den`` for an integer ``den``; ``den`` is folded into the
+        coefficients, as ``Rational * Add`` distributes, so ``poly`` must
+        be :meth:`direct` unless ``den`` is 1."""
+        if not self.direct(poly):
+            return sp.Add(*[sp.Mul(sp.Integer(c), *self._factors(m))
+                            for m, c in poly.items()])
+        terms, number = [], []
+        for monom, c in poly.items():
+            coeff = sp.Integer(c) if den == 1 else sp.Rational(c, den)
+            factors = self._factors(monom)
+            if not factors:
+                number.append(coeff)
+                continue
+            if len(factors) > 1:
+                factors.sort(key=_args_sortkey)
+            if coeff is not sp.S.One:
+                factors.insert(0, coeff)
+            terms.append(factors[0] if len(factors) == 1
+                         else sp.Mul._from_args(factors))
+        if len(terms) > 1:
+            terms.sort(key=_args_sortkey)
+        terms = number + terms
+        if len(terms) < 2:
+            return terms[0] if terms else sp.S.Zero
+        return sp.Add._from_args(terms)
+
+
+@lru_cache(maxsize=256)
+def _builder(gens: tuple[sp.Expr, ...]) -> _TreeBuilder:
+    return _TreeBuilder(gens)
+
+
+def to_expr(f) -> sp.Expr:
+    """The expression of a field element or a polynomial: the tree that
+    ``f.as_expr()`` builds, built directly (see :class:`_TreeBuilder`)
+    instead of through sympy's ``Mul`` and ``Add`` constructors."""
+    if not isinstance(f, FracElement):
+        return _builder(f.ring.symbols).build(f)
+    b = _builder(f.field.symbols)
+    num, den = f.numer, f.denom
+    if den.is_ground and b.direct(num):
+        return b.build(num, int(den.LC))
+    return b.build(num) / b.build(den)
+
+
 def normalize(e: sp.Expr) -> sp.Expr:
     """Canonical quotient of polynomials in the variables, parameters and atoms.
 
@@ -439,7 +556,7 @@ def normalize(e: sp.Expr) -> sp.Expr:
         return e
     field = field_for(e)
     try:
-        return field(e).as_expr()
+        return to_expr(field(e))
     except ZeroDivisionError:
         return sp.zoo
 
@@ -464,7 +581,7 @@ def _root_parts(f: FracElement, n: int):
 
 
 def _product(factors) -> sp.Expr:
-    return sp.Mul(*(g.as_expr() ** k for g, k in factors))
+    return sp.Mul(*(to_expr(g) ** k for g, k in factors))
 
 
 def _terms(factors) -> int:
@@ -550,7 +667,7 @@ def is_identically_zero(e: sp.Expr | FracElement,
         return ZeroVerdict("zero", "canonical form vanishes")
     if field.is_exact(f.numer):
         return ZeroVerdict("nonzero", "canonical form is a nonzero rational function")
-    num = f.numer.as_expr()
+    num = to_expr(f.numer)
     run = compile_numeric(num, SAMPLE_PRECISION)
     tol = mpmath.mpf(ZERO_THRESHOLD.numerator) / mpmath.mpf(ZERO_THRESHOLD.denominator)
     rng = random.Random(seed)

@@ -25,8 +25,10 @@ from typing import Literal
 
 import sympy as sp
 
-from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, differentiate,
-                         field_for, is_identically_zero, normalize)
+# normalize stays a module global although nothing here calls it:
+# perfbench/tracing.py replaces it in this module by name
+from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, field_for,
+                         is_identically_zero, normalize, to_expr)
 from .parsing import OdeCubic
 
 __all__ = [
@@ -121,7 +123,7 @@ class InvariantPipeline:
         """Keep the reduced field value of a stage; return it as expressions."""
         vals = tuple(self.field.reduce(p) for p in parts)
         self._values[name] = vals if len(vals) > 1 else vals[0]
-        exprs = tuple(v.as_expr() for v in vals)
+        exprs = tuple(to_expr(v) for v in vals)
         return exprs if len(exprs) > 1 else exprs[0]
 
     @cached_property
@@ -351,7 +353,7 @@ class InvariantPipeline:
                 - (3 * R * _dy(B) + 12 * S * A * R) / (25 * B**2)
                 + (6 * A**2 * S**2 - 12 * _dy(B) * A * S + 6 * _dy(B)**2) / (25 * B**3))
             pair = (red(om2 * A / B), om2)
-        self._omega_cache[which] = (pair, tuple(v.as_expr() for v in pair))
+        self._omega_cache[which] = (pair, tuple(to_expr(v) for v in pair))
         return self._omega_cache[which][1]
 
     def _omega_value(self, which: str):

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.printing.str import StrPrinter
 
-from .exprkernel import P, X, Y, normalize
+# normalize stays a module global: perfbench/tracing.py replaces it here by
+# module attribute
+from .exprkernel import _NONFINITE, P, X, Y, field_for, normalize, to_expr
 
 __all__ = [
     "OdeCubic", "ExprSyntaxError", "UnknownFunction", "NonIntegerExponent",
@@ -251,22 +253,56 @@ def extract_cubic_coefficients(rhs: sp.Expr) -> OdeCubic:
 
     Returns P = coeff(p^0), Q = coeff(p^1)/3, R = coeff(p^2)/3, S = coeff(p^3),
     each normalized.  Raises NotCubicInDerivative when the degree in p exceeds
-    3, when p occurs in a denominator, or when p sits inside a transcendental
-    atom.
+    3, when p occurs in a denominator, or when p sits inside an atom.
+
+    The right-hand side is normalized once; its reduced numerator is split
+    by degree in p inside its field, and each part is divided by the
+    denominator there (and by 3 for Q and R).
     """
     rhs = normalize(sp.sympify(rhs))
     for atom in rhs.atoms(sp.sin, sp.cos, sp.exp, sp.log):
         if atom.has(P):
             raise NotCubicInDerivative(f"derivative inside transcendental atom {atom}")
-    num, den = rhs.as_numer_denom()
-    if den.has(P):
+    if rhs.has(*_NONFINITE):
+        # normalize leaves undefined input as it is, and no field holds it
+        if rhs.has(P):
+            raise NotCubicInDerivative("right-hand side is undefined")
+        return OdeCubic(P=rhs, Q=sp.S.Zero, R=sp.S.Zero, S=sp.S.Zero)
+    field = field_for(rhs)
+    f = field(rhs)
+    num, den = f.numer, f.denom
+    holding = [i for i, g in enumerate(field.symbols) if g.has(P)]
+    if any(den.degree(i) > 0 for i in holding):
         raise NotCubicInDerivative("derivative occurs in a denominator")
-    try:
-        poly = sp.Poly(num, P)
-    except sp.PolynomialError as exc:
-        raise NotCubicInDerivative(str(exc)) from None
-    if poly.degree() > 3:
-        raise NotCubicInDerivative(f"degree {poly.degree()} in the derivative exceeds 3")
-    coeffs = [normalize(poly.coeff_monomial(P**k) / den) for k in range(4)]
-    return OdeCubic(P=coeffs[0], Q=normalize(coeffs[1] / 3),
-                    R=normalize(coeffs[2] / 3), S=coeffs[3])
+    for i in holding:
+        if field.symbols[i] != P and num.degree(i) > 0:
+            raise NotCubicInDerivative(
+                f"derivative inside the atom {field.symbols[i]}")
+    if P not in field.symbols:
+        parts = [num] + [field.ring.zero] * 3
+    else:
+        i = field.symbols.index(P)
+        if num.degree(i) > 3:
+            raise NotCubicInDerivative(
+                f"degree {num.degree(i)} in the derivative exceeds 3")
+        parts = [num.coeff_wrt(i, k) for k in range(4)]
+    return OdeCubic(*(_coefficient(field, rhs, c, den, d)
+                      for c, d in zip(parts, (1, 3, 3, 1))))
+
+
+def _coefficient(field, rhs: sp.Expr, part, den, d: int) -> sp.Expr:
+    """``part/(d*den)`` as an expression, printed as normalizing each
+    coefficient ``c`` over the denominator ``den`` of ``rhs`` prints it
+    (``normalize(c/den)``, and that over 3 again for Q and R, with ``d`` = 3).
+
+    ``normalize`` keeps the leading coefficient of a denominator positive in
+    the order of the expression's own generators (see
+    ``RationalField.own_sign``), and leaves the denominator of ``1/den`` as
+    it stands when no relation rewrites it."""
+    if d == 1 and len(den) > 1 and part in (1, -1) \
+            and not field.has_relation(den):
+        den_expr = rhs.as_numer_denom()[1]
+        if field(den_expr).numer == part * den:  # c is 1
+            return 1 / den_expr
+    f = field.K.new(part, den * d)
+    return to_expr(field.own_sign(f, *((part, den) if d == 1 else ())))

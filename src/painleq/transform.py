@@ -17,10 +17,12 @@ import sympy as sp
 from sympy.polys.fields import FracElement
 
 from .classify import InvariantReport
+# normalize and is_identically_zero stay module globals: perfbench/tracing.py
+# replaces them here by module attribute
 from .exprkernel import (DEFAULT_SEED, EvenRootOfNegative, P, PoleAtPoint, X,
                          Y, compile_numeric, field_for, is_identically_zero,
                          normalize, numeric_point, random_rational,
-                         root_up_to_sign)
+                         root_up_to_sign, to_expr)
 from .parsing import NotCubicInDerivative, OdeCubic
 
 __all__ = [
@@ -146,7 +148,7 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     det = pmap.jacobian()
     if is_identically_zero(det).is_zero:
         raise DegenerateMap("pullback through a map with zero Jacobian")
-    det = det.as_expr()
+    det = to_expr(det)
     u = sp.diff(xm, X) + P * sp.diff(xm, Y)
     v = sp.diff(ym, X) + P * sp.diff(ym, Y)
     a2 = (sp.diff(ym, X, 2) + 2 * P * sp.diff(ym, X, Y) + P**2 * sp.diff(ym, Y, 2))
@@ -159,8 +161,11 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     # target rhs times u^3 stays polynomial of degree 3 in p
     rhs_u3 = tP * u**3 + 3 * tQ * v * u**2 + 3 * tR * v**2 * u + tS * v**3
     q = (rhs_u3 - a2 * u + v * b2) / det
-    poly = sp.Poly(sp.expand(sp.together(q).as_numer_denom()[0]), P)
-    den = sp.together(q).as_numer_denom()[1]
+    # split on expressions, not in the field of q: the quotient ring of a
+    # sin/cos pair is not a UFD, so reducing q there before splitting gives
+    # other (equal) fractions for trig maps, and other generated inputs
+    num, den = sp.together(q).as_numer_denom()
+    poly = sp.Poly(sp.expand(num), P)
     if poly.degree() > 3 or den.has(P):
         raise NotCubicInDerivative("pullback lost the cubic-in-derivative form")
     coeff = [normalize(poly.coeff_monomial(P**k) / den) for k in range(4)]

@@ -6,14 +6,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
                                 X, Y, DegenerateSubstitution, compile_numeric,
                                 differentiate, evaluate_numeric, field_for,
                                 is_identically_zero, normalize, numeric_point,
-                                random_rational, root_up_to_sign, substitute)
+                                random_rational, root_up_to_sign, substitute,
+                                to_expr)
 
 
 def test_normalize_cancels_rational_functions():
@@ -234,6 +235,74 @@ def test_compiled_evaluation_agrees_with_sympy(e, kind, data):
     with mpmath.workdps(80):
         ref = mpmath.mpf(str(ref))
         assert abs(value - ref) <= mpmath.mpf(10)**-50 * max(1, abs(ref))
+
+
+# one atom of each kind a field holds; exp(y) and exp(2*y) share a generator
+FIELD_ATOMS = {
+    "trig": (sp.sin(Y), sp.cos(Y)), "exp": (sp.exp(Y), sp.exp(2 * Y)),
+    "ln": (sp.log(X),), "cbrt": (X**sp.Rational(1, 3),),
+    "sqrt2": (sp.sqrt(2),), "I": (sp.I,), "pi": (sp.pi,), "E": (sp.E,),
+}
+A, B = sp.symbols("a b")
+
+
+@st.composite
+def field_elements(draw):
+    """Reduced elements over x, y, a, b and up to three kinds of atoms, with
+    numerators of up to five terms (or none) and a denominator that is 1, a
+    constant, a monomial or a polynomial."""
+    kinds = draw(st.lists(st.sampled_from(sorted(FIELD_ATOMS)), max_size=3,
+                          unique=True))
+    field = field_for(X, Y, A, B, *(a for k in kinds for a in FIELD_ATOMS[k]))
+    ring, n = field.ring, len(field.symbols)
+    term = st.tuples(st.integers(-6, 6).filter(bool),
+                     st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+    def poly(min_terms, max_terms):
+        terms = draw(st.lists(term, min_size=min_terms, max_size=max_terms))
+        return ring.from_dict({tuple(m): c for c, m in terms})
+    den = {"one": lambda: ring.one,
+           "constant": lambda: ring.ground_new(draw(st.integers(2, 12))),
+           "monomial": lambda: poly(1, 1),
+           "polynomial": lambda: poly(2, 3)}[draw(st.sampled_from(
+               ["one", "constant", "monomial", "polynomial"]))]()
+    assume(den)
+    try:
+        return field.reduce(field.K.new(poly(0, 5), den))
+    except ZeroDivisionError:  # the denominator reduces to 0, as 1 + i**2
+        assume(False)
+
+
+def _same_tree(e, f):
+    """Same srepr, and the same args in the same order at every node (srepr
+    prints the terms of a sum and the factors of a product sorted)."""
+    assert sp.srepr(e) == sp.srepr(f)
+    assert e == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements())
+def test_to_expr_builds_the_tree_of_as_expr(f):
+    for g in (f, f.numer, f.denom):
+        _same_tree(to_expr(g), g.as_expr())
+
+
+def test_to_expr_evaluates_and_merges_like_sympy():
+    r = X**sp.Rational(1, 3)
+    F = field_for(X, Y, r, sp.exp(Y), sp.exp(2 * Y), sp.I)
+    x, y, root, e, i = (F(g) for g in (X, Y, r, sp.exp(Y), sp.I))
+    cases = {
+        x * root + root**4: 2 * X**sp.Rational(4, 3),
+        x * e**2 + e: X * sp.exp(2 * Y) + sp.exp(Y),
+        i * x + 2 * i + y: sp.I * X + 2 * sp.I + Y,
+        i**2 * x + x: sp.S.Zero,  # not reduced: i**2 is -1
+        (i * x + 1) / 2: sp.I * X / 2 + sp.Rational(1, 2),
+        -3 / (x + y): -3 / (X + Y),
+        (3 * x + y) / 3: X + Y / 3,
+    }
+    for f, want in cases.items():
+        _same_tree(to_expr(f), f.as_expr())
+        assert to_expr(f) == want
 
 
 def test_evaluate_real_odd_root():

@@ -2,6 +2,8 @@
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from painleq.exprkernel import P, X, Y, normalize
 from painleq.parsing import (ExprSyntaxError, NonIntegerExponent,
@@ -87,18 +89,92 @@ def test_extract_rational_coefficients():
 
 
 def test_extract_rejects_quartic():
-    with pytest.raises(NotCubicInDerivative):
+    with pytest.raises(NotCubicInDerivative,
+                       match=r"^degree 4 in the derivative exceeds 3$"):
         extract_cubic_coefficients(parse_expression("p^4"))
 
 
 def test_extract_rejects_derivative_in_denominator():
-    with pytest.raises(NotCubicInDerivative):
+    with pytest.raises(NotCubicInDerivative,
+                       match=r"^derivative occurs in a denominator$"):
         extract_cubic_coefficients(parse_expression("1/(1+p)"))
 
 
 def test_extract_rejects_derivative_in_atom():
-    with pytest.raises(NotCubicInDerivative):
+    with pytest.raises(NotCubicInDerivative,
+                       match=r"^derivative inside transcendental atom sin\(p\)$"):
         extract_cubic_coefficients(parse_expression("sin(p)"))
+
+
+def test_extract_rejects_derivative_under_a_root():
+    with pytest.raises(NotCubicInDerivative,
+                       match=r"^derivative inside the atom sqrt\(p\)$"):
+        extract_cubic_coefficients(parse_expression("x*p^(1/2)"))
+
+
+def test_extract_accepts_derivative_in_a_vanishing_atom():
+    ode = extract_cubic_coefficients(parse_expression("(sin(p)^2+cos(p)^2)*y"))
+    assert (ode.P, ode.Q, ode.R, ode.S) == (Y, 0, 0, 0)
+
+
+def _reference_extract(rhs) -> tuple:
+    """The coefficients as sympy's Poly in p and one normalize per
+    coefficient over the normalized right-hand side's denominator give them."""
+    rhs = normalize(rhs)
+    num, den = rhs.as_numer_denom()
+    poly = sp.Poly(num, P)
+    c = [normalize(poly.coeff_monomial(P**k) / den) for k in range(4)]
+    return c[0], normalize(c[1] / 3), normalize(c[2] / 3), c[3]
+
+
+def _assert_extracts_as_reference(rhs):
+    ode = extract_cubic_coefficients(rhs)
+    for got, want in zip((ode.P, ode.Q, ode.R, ode.S), _reference_extract(rhs)):
+        assert sp.srepr(got) == sp.srepr(want)
+        assert got == want  # the same args, in the same order
+
+
+A = sp.Symbol("a")
+RHS_ATOMS = [sp.sin(Y), sp.cos(Y), sp.exp(X), sp.exp(2 * X), sp.log(X),
+             X**sp.Rational(1, 3), sp.sqrt(2), sp.I, sp.pi]
+
+
+@st.composite
+def cubic_rhs(draw):
+    """Right-hand sides cubic in p over x, y, the parameter a and up to two
+    atoms, divided by 1, a constant or a polynomial; the denominators in x
+    and a alone order differently in a field without y."""
+    pool = [X, Y, A] + draw(st.lists(st.sampled_from(RHS_ATOMS), max_size=2,
+                                     unique=True))
+    term = st.tuples(st.integers(-4, 4),
+                     st.lists(st.sampled_from(pool), max_size=2))
+
+    def coefficient():
+        return sp.Add(*[c * sp.Mul(*f) for c, f in draw(st.lists(term, max_size=3))])
+    degree = draw(st.integers(0, 3))  # 0: free of p
+    rhs = sum(coefficient() * P**k for k in range(degree + 1))
+    den = draw(st.sampled_from([1, 6, X - A, 2 * A - X**2 + 1, X * Y + 1,
+                                coefficient() + 7]))
+    return rhs / den
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubic_rhs())
+def test_extract_agrees_with_poly_reference(rhs):
+    _assert_extracts_as_reference(rhs)
+
+
+@pytest.mark.parametrize("text", [
+    "p*x/(x-a) + y",          # Q over x - a, whose own field puts a first
+    "p^3/(x-a) + y",          # 1/(x - a) keeps the sign it was written with
+    "p^3/(a-x) + y",
+    "p^3/(x-a+sin(x)) + y",   # ... unless a relation reduces it
+    "(b*y + p^3*(4*b - 3*b^2) + p*exp(-x))/(5*b^2 - y)",
+    "(x^(1/3)*p^2 + p*x + 1)/(x - 1)",
+    "(sin(y)*p^3 + cos(y)*p + x)/(x^2 + sin(y))",
+])
+def test_extract_agrees_with_poly_reference_on_sign_traps(text):
+    _assert_extracts_as_reference(parse_expression(text))
 
 
 def test_ode_rejects_p_in_coefficient():
