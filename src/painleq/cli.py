@@ -146,6 +146,15 @@ def _finite(e: sp.Expr, what: str) -> sp.Expr:
 
 
 def _load_ode(args) -> OdeCubic:
+    """The input equation; a usage error when it is undefined, also when
+    only reducing it shows that (a denominator that reduces to 0)."""
+    ode = _read_ode(args)
+    for name in ("P", "Q", "R", "S"):
+        _finite(getattr(ode, name), f"the coefficient {name} of the input")
+    return ode
+
+
+def _read_ode(args) -> OdeCubic:
     coeffs = (args.coef_P, args.coef_Q3, args.coef_R3, args.coef_S)
     if (args.rhs is None) == all(c is None for c in coeffs):
         raise UsageError("provide exactly one input source: --rhs, or the "

@@ -254,6 +254,11 @@ class RationalField:
         """``e`` as a reduced field element."""
         return self.reduce(self._convert(sp.sympify(e)))
 
+    def free(self, e: sp.Expr) -> FracElement:
+        """``e`` as an element of the free field, where the generators are
+        independent: converted, but not reduced modulo the relations."""
+        return self._convert(sp.sympify(e))
+
     def _convert(self, e: sp.Expr) -> FracElement:
         g = self._gen.get(e)
         if g is not None:
@@ -388,6 +393,27 @@ class RationalField:
             return f
         return self.K.raw_new(-f.numer, -f.denom)
 
+    def coefficient(self, f: FracElement, part, den, n: int = 1) -> FracElement:
+        """``f`` = ``part/den`` over ``n``, signed as :func:`normalize`
+        prints it: ``normalize(part/den)`` for ``n`` = 1, and that
+        normalized again over ``n`` otherwise.  ``f`` is the reduced quotient
+        of the polynomials ``part`` and ``den``; the sign comes from the
+        generators they hold (see :meth:`own_sign`)."""
+        f = self.own_sign(f, part, den)
+        if n == 1:
+            return f
+        num, den = f.numer, f.denom
+        if num == n and len(den) > 1 and not self.has_relation(den):
+            # n/den over n is 1/den, whose denominator normalize inverts as
+            # it stands
+            return self.K.raw_new(self.ring.one, den)
+        # num and den are coprime, so only the content of num meets n
+        g = gcd(int(num.content()), n)
+        num, den = num.quo_ground(g), den * (n // g)
+        if den.LC < 0:
+            num, den = -num, -den
+        return self.own_sign(self.K.raw_new(num, den))
+
     # -- derivations --------------------------------------------------------
 
     def _generator_diff(self, i: int, var: sp.Symbol) -> FracElement:
@@ -439,17 +465,24 @@ class RationalField:
                                      for g, d in parts])
         return self._tables[var]
 
-    def diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
-        """d/dx or d/dy of ``f`` (parameters are constants), reduced."""
+    def free_diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
+        """d/dx or d/dy of ``f`` in the free field: the generators are
+        independent, so nothing is reduced modulo the relations, and the
+        quotient is not cancelled either."""
         B, table = self._derivation(var)
         num, den = f.numer, f.denom
         dnum = _poly_sum(self.ring, [num.diff(g) * a for g, a in table]
                          or [self.ring.zero])
         if den.is_ground:
-            return self._make(dnum, B * den)
+            return self.K.raw_new(dnum, B * den)
         dden = _poly_sum(self.ring, [den.diff(g) * a for g, a in table]
                          or [self.ring.zero])
-        return self._make(dnum * den - num * dden, B * den**2)
+        return self.K.raw_new(dnum * den - num * dden, B * den**2)
+
+    def diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
+        """d/dx or d/dy of ``f`` (parameters are constants), reduced."""
+        d = self.free_diff(f, var)
+        return self._make(d.numer, d.denom)
 
 
 @lru_cache(maxsize=256)

@@ -296,13 +296,12 @@ def _coefficient(field, rhs: sp.Expr, part, den, d: int) -> sp.Expr:
     (``normalize(c/den)``, and that over 3 again for Q and R, with ``d`` = 3).
 
     ``normalize`` keeps the leading coefficient of a denominator positive in
-    the order of the expression's own generators (see
-    ``RationalField.own_sign``), and leaves the denominator of ``1/den`` as
-    it stands when no relation rewrites it."""
+    the order of the expression's own generators, and leaves the denominator
+    of ``1/den`` as it stands when no relation rewrites it (see
+    ``RationalField.coefficient``)."""
     if d == 1 and len(den) > 1 and part in (1, -1) \
             and not field.has_relation(den):
         den_expr = rhs.as_numer_denom()[1]
         if field(den_expr).numer == part * den:  # c is 1
             return 1 / den_expr
-    f = field.K.new(part, den * d)
-    return to_expr(field.own_sign(f, *((part, den) if d == 1 else ())))
+    return to_expr(field.coefficient(field.K.new(part, den), part, den, d))

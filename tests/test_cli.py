@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -145,6 +149,8 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "1/0"],                   # undefined input
     ["classify", "--rhs", "y/(x-x)"],
     ["classify", "--rhs", "ln(0)"],
+    ["classify", "--rhs", "1/(sin(y)^2+cos(y)^2-1)"],  # undefined once reduced
+    ["classify", "--P", "1/(sin(y)^2+cos(y)^2-1)"],
     ["classify", "--rhs", "x", "--param", "x=1"],   # binds a variable
     ["classify", "--rhs", "x", "--param", "y=1"],
     ["classify", "--rhs", "x", "--param", "p=1"],
@@ -199,3 +205,17 @@ def test_invariants_builds_one_pipeline(monkeypatch):
 def test_unknown_subcommand_exit_one():
     code, _ = run(["bogus"])
     assert code == 1
+
+
+def test_importing_the_cli_loads_no_heavy_optional_module():
+    """Every CLI process pays for its imports; these five are installed
+    alongside sympy but the CLI needs none of them."""
+    heavy = ("numpy", "scipy", "hypothesis", "pytest", "IPython")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (f"import sys, painleq.cli; "
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

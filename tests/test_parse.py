@@ -169,6 +169,7 @@ def test_extract_agrees_with_poly_reference(rhs):
     "p^3/(x-a) + y",          # 1/(x - a) keeps the sign it was written with
     "p^3/(a-x) + y",
     "p^3/(x-a+sin(x)) + y",   # ... unless a relation reduces it
+    "(x-a)/(y+b) + 3*p/(x-a)",  # 3/(x - a) over 3 inverts x - a as it stands
     "(b*y + p^3*(4*b - 3*b^2) + p*exp(-x))/(5*b^2 - y)",
     "(x^(1/3)*p^2 + p*x + 1)/(x - 1)",
     "(sin(y)*p^3 + cos(y)*p + x)/(x^2 + sin(y))",

@@ -2,11 +2,15 @@
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from painleq import canonical as cn
 from painleq import transform
 from painleq.classify import check_painleve1, check_painleve2, classify
-from painleq.exprkernel import X, Y, normalize
+from painleq.exprkernel import P, X, Y, is_identically_zero, normalize, to_expr
+from painleq.parsing import (NotCubicInDerivative, OdeCubic,
+                             extract_cubic_coefficients, parse_expression)
 from painleq.transform import (BranchVerificationFailed, DegenerateMap,
                                PointMap, map_painleve1, map_painleve2,
                                pullback_ode, verify_map)
@@ -191,8 +195,171 @@ def test_composition_consistency():
 
 
 def test_pullback_output_is_derivative_free():
-    from painleq.exprkernel import P
     for pm in FUZZ_MAPS[:4]:
         ode = pullback_ode(cn.painleve2(1), pm)
         for c in (ode.P, ode.Q, ode.R, ode.S):
             assert not sp.sympify(c).has(P)
+
+
+def _ode(text):
+    return extract_cubic_coefficients(parse_expression(text))
+
+
+def _reference_pullback(target, pmap):
+    """The pullback as expressions: sympy's diff, subs, together, expand and
+    Poly in p, and one normalize per coefficient over together's
+    denominator (again over 3 for Q and R)."""
+    xm, ym = sp.sympify(pmap.x_new), sp.sympify(pmap.y_new)
+    if is_identically_zero(pmap.jacobian()).is_zero:
+        raise DegenerateMap("pullback through a map with zero Jacobian")
+    det = to_expr(pmap.jacobian())
+    u = sp.diff(xm, X) + P * sp.diff(xm, Y)
+    v = sp.diff(ym, X) + P * sp.diff(ym, Y)
+    a2 = sp.diff(ym, X, 2) + 2 * P * sp.diff(ym, X, Y) + P**2 * sp.diff(ym, Y, 2)
+    b2 = sp.diff(xm, X, 2) + 2 * P * sp.diff(xm, X, Y) + P**2 * sp.diff(xm, Y, 2)
+    t = [c.subs({X: xm, Y: ym}, simultaneous=True)
+         for c in (target.P, target.Q, target.R, target.S)]
+    rhs_u3 = t[0] * u**3 + 3 * t[1] * v * u**2 + 3 * t[2] * v**2 * u + t[3] * v**3
+    num, den = sp.together((rhs_u3 - a2 * u + v * b2) / det).as_numer_denom()
+    poly = sp.Poly(sp.expand(num), P)
+    if poly.degree() > 3 or den.has(P):
+        raise NotCubicInDerivative("pullback lost the cubic-in-derivative form")
+    c = [normalize(poly.coeff_monomial(P**k) / den) for k in range(4)]
+    return c[0], normalize(c[1] / 3), normalize(c[2] / 3), c[3]
+
+
+def _assert_pulls_back_as_reference(target, pmap):
+    ode = pullback_ode(target, pmap)
+    for got, want in zip((ode.P, ode.Q, ode.R, ode.S),
+                         _reference_pullback(target, pmap)):
+        assert sp.srepr(got) == sp.srepr(want)
+
+
+A, B = sp.symbols("a b")
+# coefficients with parameters in denominators, some written with a sign
+# that normalize would not give them
+DENOMINATED = [sp.Integer(0), Y, X * Y + A, 1 / (X - A), A / (X - A)**2,
+               (X - A) / (Y + B), 1 / (3 * (Y - B)), -1 / (A - X),
+               X / (2 * (X + A)), 1 / (X - A) + Y]
+
+
+@st.composite
+def targets(draw):
+    kind = draw(st.sampled_from(["PI", "PII", "PII(n)", "PIII", "PIII(n)",
+                                 "denominated"]))
+    if kind == "PI":
+        return cn.painleve1()
+    if kind == "PII":
+        return cn.painleve2()
+    if kind == "PII(n)":
+        return cn.painleve2(draw(st.integers(-2, 3)))
+    if kind == "PIII":
+        return cn.painleve3_zero()
+    if kind == "PIII(n)":
+        return cn.painleve3_zero(draw(st.sampled_from([-2, -1, 1, 2, 3])))
+    return OdeCubic(*(draw(st.sampled_from(DENOMINATED)) for _ in range(4)))
+
+
+@st.composite
+def point_maps(draw):
+    """The benchmark's map families and random quadratic maps, scaled and
+    shifted; scale 1 keeps translations, whose coefficients can be exactly
+    1 over one sum."""
+    family = draw(st.sampled_from(["shear_x", "shear_y", "affine", "exp",
+                                   "polar", "quadratic"]))
+    k, c = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    small = st.integers(-2, 2)
+    if family == "shear_x":
+        f1, f2 = X + c * Y**k, Y
+    elif family == "shear_y":
+        f1, f2 = X, Y + c * X**k
+    elif family == "affine":
+        f1, f2 = (draw(small) * X + draw(small) * Y for _ in range(2))
+    elif family == "exp":
+        f1, f2 = X * sp.exp(Y), Y
+    elif family == "polar":
+        f1, f2 = X * sp.sin(Y), X * sp.cos(Y)
+    else:
+        monomials = [sp.Integer(1), X, Y, X**2, X * Y, Y**2]
+        unit = st.integers(-1, 1)
+        f1, f2 = (sum(draw(unit) * m for m in monomials) for _ in range(2))
+    s1, s2 = (draw(st.sampled_from([1, 2, 3])) for _ in range(2))
+    t1, t2 = (draw(st.integers(0, 2)) for _ in range(2))
+    return PointMap(s1 * f1 + t1, s2 * f2 + t2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(targets(), point_maps())
+def test_pullback_agrees_with_expression_reference(target, pmap):
+    try:
+        want = _reference_pullback(target, pmap)
+    except DegenerateMap:
+        with pytest.raises(DegenerateMap):
+            pullback_ode(target, pmap)
+        return
+    ode = pullback_ode(target, pmap)
+    for got, ref in zip((ode.P, ode.Q, ode.R, ode.S), want):
+        assert sp.srepr(got) == sp.srepr(ref)
+
+
+def test_pullback_moves_target_atoms_through_the_map():
+    ode = pullback_ode(_ode("sin(x) + y"), PointMap(X + Y**2, Y))
+    assert sp.sin(X + Y**2) in ode.P.atoms(sp.sin)
+    assert sp.sin(X) not in ode.P.atoms(sp.sin)
+    _assert_pulls_back_as_reference(_ode("sin(x) + y"), PointMap(X + Y**2, Y))
+
+
+def test_pullback_expands_moved_exponentials():
+    target, pmap = _ode("exp(2*x)"), PointMap(X + Y**2, Y + 1)
+    assert pullback_ode(target, pmap).P == sp.exp(2 * X) * sp.exp(2 * Y**2)
+    _assert_pulls_back_as_reference(target, pmap)
+
+
+@pytest.mark.parametrize("target, pmap", [
+    # S is -1/(3*a - 9*x): the coefficient's own field puts a before x
+    (_ode("p^3/(x-a)"), PointMap(3 * X, 2 * X**3 - Y)),
+    # Q is 1/(-2*a + 4*x + 2): 3/den over 3 inverts den as it stands
+    (_ode("(x-a)/(y+b) + p^3/(x-a)"), PointMap(2 * X + 1, X + 3 * Y)),
+    # S is 1/(-a + x + 1): 1 over the one sum together writes
+    (_ode("p^3/(x-a) + y"), PointMap(X + 1, Y + 1)),
+    (_ode("p/(x-a) + p^2/(y-b)"), PointMap(X + 1, Y + 2)),
+    # together writes 3*(y - b) as one sum, -3*b + 3*y
+    (OdeCubic(1 / (3 * (Y - B)), *[sp.Integer(0)] * 3), PointMap(X + Y**2, Y)),
+    # P is x over x*(-x + y): Mul cancels x and leaves 1/(-x + y)
+    (cn.painleve3_zero(1), PointMap(-4 * X, -4 * X + 4 * Y)),
+    # P is a + x + 2*y**3 - 2 over 6*(-b + 2*y + 2)*(a + x + 2*y**3 - 2):
+    # Mul cancels the sum, and the sign is that of a field without x
+    (OdeCubic(1 / (3 * Y - 3 * B), -1 / (A - X), -1 / (A - X), sp.Integer(0)),
+     PointMap(-X - 2 * Y**3 + 2, 2 * Y + 2)),
+])
+def test_pullback_keeps_the_signs_normalize_prints(target, pmap):
+    _assert_pulls_back_as_reference(target, pmap)
+
+
+def test_pullback_sign_trap_values():
+    ode = pullback_ode(_ode("p^3/(x-a)"), PointMap(3 * X, 2 * X**3 - Y))
+    assert str(ode.S) == "-1/(3*a - 9*x)"
+    ode = pullback_ode(_ode("(x-a)/(y+b) + p^3/(x-a)"),
+                       PointMap(2 * X + 1, X + 3 * Y))
+    assert str(ode.Q) == "1/(-2*a + 4*x + 2)"
+
+
+@pytest.mark.parametrize("pmap", [
+    PointMap(X**sp.Rational(1, 3), Y),
+    PointMap(X, Y * sp.sqrt(X)),
+    PointMap((X + Y)**sp.Rational(1, 5), Y),
+    PointMap(X * sp.exp(Y + 1), Y),
+])
+def test_pullback_through_roots_is_equal_to_reference(pmap):
+    """The field keeps a root of a nonconstant base as its own generator
+    (sympy merges x*x^(1/2) into x^(3/2)), and exp(y + 1) as one atom
+    (sp.expand splits it), so these print differently but are equal."""
+    ode = pullback_ode(cn.painleve1(), pmap)
+    for got, want in zip((ode.P, ode.Q, ode.R, ode.S),
+                         _reference_pullback(cn.painleve1(), pmap)):
+        assert not is_identically_zero(got - want).is_nonzero
+
+
+def test_pullback_rejects_a_map_holding_the_derivative():
+    with pytest.raises(NotCubicInDerivative):
+        pullback_ode(cn.painleve1(), PointMap(X + P**2 * Y, Y))
