@@ -145,6 +145,16 @@ def _finite(e: sp.Expr, what: str) -> sp.Expr:
     return e
 
 
+def _numeric_options(args) -> None:
+    """--samples and --precision as numeric verification can use them:
+    at least one sample, and the 30 digits that evaluation needs."""
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.precision < 30:
+        raise UsageError("--precision must be at least 30 digits, got "
+                         f"{args.precision}")
+
+
 def _load_ode(args) -> OdeCubic:
     """The input equation; a usage error when it is undefined, also when
     only reducing it shows that (a denominator that reduces to 0)."""
@@ -176,6 +186,17 @@ def _read_ode(args) -> OdeCubic:
                         R=normalize(parts[2] / 3), S=parts[3])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _bound(text: str, flag: str, subs: dict) -> sp.Expr:
+    """The expression of ``flag`` with the --param bindings ``subs``
+    applied; a usage error when it is undefined."""
+    return _finite(_parse(text, flag).subs(subs, simultaneous=True), flag)
+
+
+def _map_input(args, subs: dict) -> tuple[sp.Expr, sp.Expr]:
+    return (_bound(args.x_new, "--x-new", subs),
+            _bound(args.y_new, "--y-new", subs))
 
 
 def _expr_str(e) -> str | None:
@@ -295,6 +316,7 @@ def _cmd_invariants(args, out) -> int:
 
 
 def _cmd_map(args, out) -> int:
+    _numeric_options(args)
     ode = _load_ode(args)
     cls = classify(ode, seed=args.seed)
     inv, warnings = _gather_invariants(cls)
@@ -324,13 +346,11 @@ def _cmd_map(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    _numeric_options(args)
     ode = _load_ode(args)
     subs = _bindings(args.param)
-    j = None if args.J is None else _parse(args.J, "--J").subs(subs, simultaneous=True)
-    pmap = PointMap(*(_finite(_parse(text, flag).subs(subs, simultaneous=True), flag)
-                      for text, flag in ((args.x_new, "--x-new"),
-                                         (args.y_new, "--y-new"))),
-                    branch="user", J=j)
+    j = None if args.J is None else _bound(args.J, "--J", subs)
+    pmap = PointMap(*_map_input(args, subs), branch="user", J=j)
     if is_identically_zero(pmap.jacobian()).is_zero:
         raise UsageError(f"map ({pmap.x_new}, {pmap.y_new}) has zero Jacobian")
     try:
@@ -349,9 +369,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_pullback(args, out) -> int:
     target = _load_ode(args)
-    subs = _bindings(args.param)
-    pmap = PointMap(_parse(args.x_new, "--x-new").subs(subs, simultaneous=True),
-                    _parse(args.y_new, "--y-new").subs(subs, simultaneous=True))
+    pmap = PointMap(*_map_input(args, _bindings(args.param)))
     try:
         ode = pullback_ode(target, pmap)
     except (DegenerateMap, NotCubicInDerivative) as exc:

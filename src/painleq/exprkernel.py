@@ -6,8 +6,9 @@ constants and free single-letter parameters.  This module provides the
 services the rest of the pipeline is built on: exact rational-function
 arithmetic with differentiation, canonical normalization, sound
 zero-testing, and high-precision numeric evaluation with real root branches
-(:func:`compile_numeric` turns an expression into closures once, so that
-evaluating it at many points walks no expression tree).
+(:func:`compile_numeric` turns an expression into a tape of its distinct
+subexpressions once, so that evaluating it at many points walks no
+expression tree and computes each subexpression once).
 
 Exact algebra runs in a :class:`RationalField`, one ``FracField`` over ZZ
 per set of expressions: numerators and denominators have integer
@@ -138,6 +139,122 @@ def _poly_sum(ring, polys):
     return ring.from_dict({m: c for m, c in acc.items() if c})
 
 
+def _signed(num, den):
+    """num/den with the denominator's leading coefficient positive, as
+    ``PolyElement.cancel`` leaves it."""
+    return (-num, -den) if den.LC < 0 else (num, den)
+
+
+def _times(a, b, c, d):
+    """(a/b)*(c/d) for coprime pairs a, b and c, d, as a coprime pair: only
+    a and d, and c and b, can share a factor (Henrici)."""
+    if not a or not c:
+        return a.ring.zero, a.ring.one
+    if not d.is_one:
+        _, a, d = a.cofactors(d)
+    if not b.is_one:
+        _, c, b = c.cofactors(b)
+    return _signed(a * c, b * d)
+
+
+def _plus(a, b, c, d):
+    """a/b + c/d for coprime pairs, as a coprime pair.  With g = gcd(b, d),
+    b = g*b1 and d = g*d1, the numerator t = a*d1 + c*b1 is prime to b1 and
+    to d1, so it is cancelled against g alone (Henrici)."""
+    one = b.ring.one
+    if b == d:
+        g, t, rest = b, a + c, one
+    elif b.is_one or d.is_one:
+        g, t, rest = one, a * d + c * b, b * d
+    else:
+        g, b1, d1 = b.cofactors(d)
+        t, rest = a * d1 + c * b1, b1 * d1
+    if not t:
+        return t, one
+    if not (g.is_ground and abs(g.LC) == 1):
+        _, t, g = t.cofactors(g)
+    return _signed(t, g * rest)
+
+
+class _Fraction(FracElement):
+    """A ``FracElement`` whose ``+``, ``-``, ``*`` and ``/`` cancel against
+    gcds of the operands' own numerators and denominators (:func:`_times`,
+    :func:`_plus`) instead of one gcd of the full cross product.  The
+    operands must be reduced; the result is the reduced fraction, with the
+    denominator's leading coefficient positive, that sympy's cancelling
+    gives, because that fraction is unique in the free polynomial ring.
+    ``**`` and ``K.new`` are sympy's, and so are the operations with
+    anything but an element of this field or its ring, or a rational
+    number."""
+
+    def _op(f, g, rule, fallback):
+        """rule(f.numer, f.denom, numerator of g, denominator of g)."""
+        ring = f.field.ring
+        if f.field.is_element(g):
+            pair = g.numer, g.denom
+        elif ring.is_element(g):
+            pair = g, ring.one
+        else:
+            op, num, den = f._extract_ground(g)
+            if not op:
+                return fallback(g)
+            pair = ring.ground_new(num), ring.ground_new(den if op < 0 else 1)
+        return f.raw_new(*rule(f.numer, f.denom, *pair))
+
+    def __add__(f, g):
+        if not g:
+            return f
+        if not f and f.field.is_element(g):
+            return g
+        return f._op(g, _plus, super().__add__)
+
+    def __radd__(f, c):
+        return f._op(c, _plus, super().__radd__)
+
+    def __sub__(f, g):
+        if not g:
+            return f
+        if not f and f.field.is_element(g):
+            return -g
+        return f._op(g, lambda a, b, c, d: _plus(a, b, -c, d), super().__sub__)
+
+    def __rsub__(f, c):
+        return f._op(c, lambda a, b, c, d: _plus(-a, b, c, d), super().__rsub__)
+
+    def __mul__(f, g):
+        return f._op(g, _times, super().__mul__)
+
+    def __rmul__(f, c):
+        return f._op(c, _times, super().__rmul__)
+
+    def __truediv__(f, g):
+        if not g:
+            raise ZeroDivisionError
+        return f._op(g, lambda a, b, c, d: _times(a, b, d, c),
+                     super().__truediv__)
+
+    def __rtruediv__(f, c):
+        if not f:
+            raise ZeroDivisionError
+        return f._op(c, lambda a, b, c, d: _times(b, a, c, d),
+                     super().__rtruediv__)
+
+
+class _FractionField(FracField):
+    """A ``FracField`` whose elements are :class:`_Fraction`; it is equal to
+    sympy's field on the same generators, and their elements mix."""
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        obj.dtype = _Fraction(obj, obj.ring.zero).raw_new
+        obj.zero, obj.one = obj.dtype(obj.ring.zero), obj.dtype(obj.ring.one)
+        old, obj.gens = obj.gens, obj._gens()
+        for symbol, was, gen in zip(obj.symbols, old, obj.gens):
+            if getattr(obj, str(symbol), None) is was:
+                setattr(obj, str(symbol), gen)
+        return obj
+
+
 def _symbol_order(symbols) -> list[sp.Symbol]:
     """The symbols in generator order: x and y first when both are present,
     then the rest by name."""
@@ -201,7 +318,7 @@ class RationalField:
     """
 
     def __init__(self, gens: tuple[sp.Expr, ...]):
-        self.K = FracField(gens, ZZ, lex)
+        self.K = _FractionField(gens, ZZ, lex)
         self.ring = self.K.ring
         self.symbols = gens
         self._gen = dict(zip(gens, self.K.gens))
@@ -465,24 +582,41 @@ class RationalField:
                                      for g, d in parts])
         return self._tables[var]
 
-    def free_diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
-        """d/dx or d/dy of ``f`` in the free field: the generators are
-        independent, so nothing is reduced modulo the relations, and the
-        quotient is not cancelled either."""
+    def _quotient_rule(self, f: FracElement, var: sp.Symbol):
+        """(B, dnum, dden) for d/dx or d/dy of ``f``: the polynomials
+        B*d(num) and B*d(den), so that the derivative is
+        (dnum*den - num*dden)/(B*den**2) in the free field."""
         B, table = self._derivation(var)
-        num, den = f.numer, f.denom
-        dnum = _poly_sum(self.ring, [num.diff(g) * a for g, a in table]
-                         or [self.ring.zero])
-        if den.is_ground:
-            return self.K.raw_new(dnum, B * den)
-        dden = _poly_sum(self.ring, [den.diff(g) * a for g, a in table]
-                         or [self.ring.zero])
-        return self.K.raw_new(dnum * den - num * dden, B * den**2)
+        zero = [self.ring.zero]
+        dnum = _poly_sum(self.ring, [f.numer.diff(g) * a for g, a in table]
+                         or zero)
+        if f.denom.is_ground:
+            return B, dnum, self.ring.zero
+        return B, dnum, _poly_sum(self.ring, [f.denom.diff(g) * a
+                                              for g, a in table] or zero)
+
+    def free_diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
+        """d/dx or d/dy of the reduced ``f`` in the free field, where the
+        generators are independent, so nothing is reduced modulo the
+        relations.  With h = gcd(den, dden), den = h*d1 and dden = h*e1,
+        the derivative is t/(B*h*d1**2) with t = dnum*d1 - num*e1, and t is
+        prime to d1, so it is cancelled against B*h alone."""
+        B, dnum, dden = self._quotient_rule(f, var)
+        h, d1, e1 = f.denom.cofactors(dden)
+        t = dnum * d1 - f.numer * e1
+        if not t:
+            return self.K.zero
+        _, t, s = t.cofactors(B * h)
+        return self.K.raw_new(*_signed(t, s * d1**2))
 
     def diff(self, f: FracElement, var: sp.Symbol) -> FracElement:
         """d/dx or d/dy of ``f`` (parameters are constants), reduced."""
-        d = self.free_diff(f, var)
-        return self._make(d.numer, d.denom)
+        if not self._relations:
+            return self.free_diff(f, var)
+        B, dnum, dden = self._quotient_rule(f, var)
+        if f.denom.is_ground:
+            return self._make(dnum, B * f.denom)
+        return self._make(dnum * f.denom - f.numer * dden, B * f.denom**2)
 
 
 @lru_cache(maxsize=256)
@@ -763,105 +897,101 @@ def numeric_point(point: Mapping[sp.Symbol | str, object]) -> dict[sp.Symbol, mp
     return out
 
 
-def _note(v: mpmath.mpf, scale: list) -> mpmath.mpf:
-    a = abs(v)
-    if a > scale[0]:
-        scale[0] = a
-    return v
-
-
 def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
-    """Compile ``e`` once into nested closures, for evaluation at many points.
+    """Compile ``e`` once into an evaluation tape, for evaluation at many
+    points.
 
-    The result ``run(point, scale)`` evaluates ``e`` at ``point``, a mapping
-    from symbols to values made by :func:`numeric_point`, and must be called
-    under ``mpmath.workdps(precision)``.  It keeps in ``scale[0]`` the
-    largest magnitude of any intermediate value, which bounds the rounding
-    error.  Constants are computed here, at ``precision`` digits; sums go
-    through ``fsum`` and products multiply left to right.  Odd roots of
-    negative reals take the real branch; an even root of a negative radicand
-    raises EvenRootOfNegative, and a negative power, root or logarithm of a
-    value below the underflow guard raises PoleAtPoint.
+    The tape lists the distinct subexpressions of ``e`` in first-visit
+    post-order, so each of them is computed once per point however often it
+    occurs.  The result ``run(point, scale)`` evaluates ``e`` at ``point``, a
+    mapping from symbols to values made by :func:`numeric_point`, and must
+    be called under ``mpmath.workdps(precision)``.  For an ``sp.Tuple`` it
+    returns the tuple of its entries' values, computed on one tape.  It
+    keeps in ``scale[0]`` the largest magnitude of any subexpression's
+    value, which bounds the rounding error.  Constants are computed here, at
+    ``precision`` digits; sums go through ``fsum`` and products multiply
+    left to right.  Odd roots of negative reals take the real branch; an
+    even root of a negative radicand raises EvenRootOfNegative, and a
+    negative power, root or logarithm of a value below the underflow guard
+    raises PoleAtPoint.
     """
     mpf = mpmath.mpf
     functions = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp}
-    # one closure per distinct subexpression; each takes (point, scale)
-    memo: dict = {}
+    slots: dict = {}     # subexpression -> its index on the tape
+    values: list = []    # the constants; None where a step computes a value
+    steps: list = []     # (index, step), step(vals, point) -> value
 
-    def node(t: sp.Expr):
-        run = memo.get(t)
-        if run is None:
-            run = memo[t] = build(t)
-        return run
-
-    def constant(c):
-        size = abs(c)
-
-        def run(v, s):
-            if size > s[0]:
-                s[0] = size
-            return c
-        return run
+    def slot(t: sp.Expr) -> int:
+        k = slots.get(t)
+        if k is None:
+            made = build(t)
+            k = slots[t] = len(values)
+            if isinstance(made, mpf):
+                values.append(made)
+            else:
+                values.append(None)
+                steps.append((k, made))
+        return k
 
     def build(t: sp.Expr):
         if t.is_Rational:
-            return constant(mpf(t.p) / mpf(t.q))
+            return mpf(t.p) / mpf(t.q)
         if t.is_Float:
-            return constant(mpf(str(t)))
+            return mpf(str(t))
         if t.is_NumberSymbol:
-            return constant(mpf(str(sp.N(t, precision + 10))))
+            return mpf(str(sp.N(t, precision + 10)))
         if t.is_Symbol:
-            def symbol(v, s):
+            def symbol(vals, v):
                 if t not in v:
                     raise ValueError(f"no value assigned to symbol {t}")
-                return _note(v[t], s)
+                return v[t]
             return symbol
         if t.is_Add:
-            terms = [node(a) for a in t.args]
-            return lambda v, s: _note(mpmath.fsum([f(v, s) for f in terms]), s)
+            terms = [slot(a) for a in t.args]
+            return lambda vals, v: mpmath.fsum([vals[i] for i in terms])
         if t.is_Mul:
-            first, *rest = [node(a) for a in t.args]
+            first, *rest = [slot(a) for a in t.args]
 
-            def product(v, s):
-                r = first(v, s)
-                for f in rest:
-                    r *= f(v, s)
-                return _note(r, s)
+            def product(vals, v):
+                r = vals[first]
+                for i in rest:
+                    r *= vals[i]
+                return r
             return product
         if t.is_Pow:
             return power(t)
         if t.func in functions:
-            fn, arg = functions[t.func], node(t.args[0])
-            return lambda v, s: _note(fn(arg(v, s)), s)
+            fn, arg = functions[t.func], slot(t.args[0])
+            return lambda vals, v: fn(vals[arg])
         if t.func is sp.log:
-            arg = node(t.args[0])
+            arg = slot(t.args[0])
 
-            def log(v, s):
-                u = arg(v, s)
+            def log(vals, v):
+                u = vals[arg]
                 if u < guard:
                     raise PoleAtPoint(f"ln of non-positive value in {t}")
-                return _note(mpmath.log(u), s)
+                return mpmath.log(u)
             return log
         raise ValueError(f"cannot evaluate node {t!r}")
 
     def power(t: sp.Expr):
-        base, ex = node(t.base), t.exp
+        base, ex = slot(t.base), t.exp
         if ex.is_Integer:
             n = int(ex)
             if n >= 0:
-                return lambda v, s: _note(base(v, s) ** n, s)
+                return lambda vals, v: vals[base] ** n
 
-            def inverse(v, s):
-                b = base(v, s)
+            def inverse(vals, v):
+                b = vals[base]
                 if abs(b) < guard:
                     raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
-                return _note(b ** n, s)
+                return b ** n
             return inverse
         if ex.is_Rational:
             num, den = int(ex.p), int(ex.q)
 
-            def root(v, s):
-                b = base(v, s)
+            def root(vals, v):
+                b = vals[base]
                 if b < 0:
                     if den % 2 == 0:
                         raise EvenRootOfNegative(
@@ -873,14 +1003,27 @@ def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
                     r = mpmath.root(b, den)
                 if num < 0 and abs(r) < guard:
                     raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
-                return _note(r ** num, s)
+                return r ** num
             return root
-        exponent = node(ex)
-        return lambda v, s: _note(base(v, s) ** exponent(v, s), s)
+        exponent = slot(ex)
+        return lambda vals, v: vals[base] ** vals[exponent]
 
     with mpmath.workdps(precision):
         guard = mpf(10) ** (-(precision // 2))
-        return node(sp.sympify(e))
+        e = sp.sympify(e)
+        out = [slot(a) for a in e.args] if isinstance(e, sp.Tuple) else slot(e)
+
+    def run(v, s):
+        vals = values.copy()
+        for k, step in steps:
+            vals[k] = step(vals, v)
+        top = max(map(abs, vals))
+        if top > s[0]:
+            s[0] = top
+        if isinstance(out, int):
+            return vals[out]
+        return tuple(vals[k] for k in out)
+    return run
 
 
 def _to_fraction(v: object) -> Fraction:

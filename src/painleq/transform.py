@@ -361,8 +361,8 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
     free = set().union(*(e.free_symbols for e in pieces.values())) - {P}
     j_val = sp.sympify(pmap.J) if pmap.J is not None else sp.Integer(0)
     free |= j_val.free_symbols
-    jets = {k: compile_numeric(e, precision) for k, e in pieces.items()}
-    j_jet = compile_numeric(j_val, precision)
+    # one tape for all of them: the pieces share most of their subexpressions
+    tape = compile_numeric(sp.Tuple(*pieces.values(), j_val), precision)
     rng = random.Random(seed)
     prec = precision
     guard = mpmath.mpf(10) ** -20
@@ -375,8 +375,9 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
         point[P] = random_rational(rng, -1, 1)
         try:
             with mpmath.workdps(prec):
-                at, notes = numeric_point(point), [mpmath.mpf(0)]
-                val = {k: run(at, notes) for k, run in jets.items()}
+                at = numeric_point(point)
+                *vals, jv = tape(at, [mpmath.mpf(0)])
+                val = dict(zip(pieces, vals))
                 p0 = at[P]
                 q0 = val["rhs"]
                 u = val["xm_x"] + p0 * val["xm_y"]
@@ -389,7 +390,6 @@ def verify_map(source: OdeCubic, target: str, pmap: PointMap,
                       + q0 * val["xm_y"])
                 y1 = v / u
                 y2 = (a2 * u - v * b2) / u**3
-                jv = j_jet(at, notes)
                 t = TARGET_RHS[target](val["xm"], val["ym"], y1, jv)
                 scale = max(abs(y2), abs(t), mpmath.mpf(1))
                 rel = abs(y2 - t) / scale

@@ -158,10 +158,30 @@ def test_pullback_round_trips_through_classify():
      "--x-new", "1/(x-x)", "--y-new", "y"],
     ["classify", "--rhs", "1/(sin(y)^2+cos(y)^2-1)"],  # undefined once reduced
     ["classify", "--P", "1/(sin(y)^2+cos(y)^2-1)"],
+    ["map", "--rhs", "6*y^2+x", "--samples", "0"],  # numeric options
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
+     "--x-new", "x", "--y-new", "y", "--samples=-3"],
+    ["map", "--rhs", "6*y^2+x", "--precision", "8"],
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
+     "--x-new", "x", "--y-new", "y", "--precision", "29"],
+    ["verify", "--rhs", "2*y^3+x*y", "--target", "painleve2",  # undefined J
+     "--x-new", "x", "--y-new", "y", "--J", "1/0"],
+    ["verify", "--rhs", "2*y^3+x*y", "--target", "painleve2",
+     "--x-new", "x", "--y-new", "y", "--J", "1/(x-x)"],
+    ["pullback", "--rhs", "6*y^2+x",                  # undefined map
+     "--x-new", "1/0", "--y-new", "y"],
+    ["pullback", "--rhs", "6*y^2+x", "--x-new", "x", "--y-new", "ln(0)"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)
     assert code == 1
+
+
+def test_verify_accepts_the_precision_floor():
+    code, _ = run(["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
+                   "--x-new", "x", "--y-new", "y", "--precision", "30",
+                   "--samples", "1"])
+    assert code == 0
 
 
 def test_trigonometric_identity_input_ends_in_time():

@@ -3,11 +3,16 @@
 import random
 from fractions import Fraction
 
+import operator
+
 import mpmath
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
                                 X, Y, DegenerateSubstitution, compile_numeric,
@@ -340,3 +345,276 @@ def test_random_rational_range():
     for _ in range(100):
         r = random_rational(rng)
         assert 1 <= r <= 2
+
+
+# -- field arithmetic against sympy's FracElement ----------------------------
+
+ROOT3 = X**sp.Rational(1, 3)
+# a field whose reduction has relations (the sin/cos pair) and one without;
+# the arithmetic runs in the free ring of either
+ARITH_FIELDS = {
+    "relations": field_for(X, Y, A, sp.sin(Y), sp.cos(Y), sp.exp(Y), ROOT3),
+    "free": field_for(X, Y, A, sp.exp(Y), ROOT3),
+}
+
+
+def _plain(field):
+    """sympy's own field on the same generators."""
+    return FracField(field.symbols, ZZ, lex)
+
+
+@st.composite
+def reduced_elements(draw, field, den=None):
+    """A reduced element: zero, or a numerator over a denominator that is
+    1, a constant, a monomial or a polynomial, sometimes written with the
+    denominator's leading coefficient negative."""
+    ring, n = field.ring, len(field.symbols)
+    term = st.tuples(st.integers(-4, 4).filter(bool),
+                     st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+    def poly(lo, hi):
+        terms = draw(st.lists(term, min_size=lo, max_size=hi))
+        return ring.from_dict({tuple(m): c for c, m in terms})
+    if den is None:
+        den = {"one": lambda: ring.one,
+               "constant": lambda: ring.ground_new(draw(st.integers(2, 12))),
+               "monomial": lambda: poly(1, 1),
+               "polynomial": lambda: poly(2, 3)}[draw(st.sampled_from(
+                   ["one", "constant", "monomial", "polynomial"]))]()
+        assume(den)
+    f = field.K.new(poly(0, 4), den)
+    if f and draw(st.booleans()):
+        f = field.K.raw_new(-f.numer, -f.denom)
+    return f
+
+
+@st.composite
+def operand_pairs(draw, field):
+    """Two reduced elements; half the time with one denominator."""
+    f = draw(reduced_elements(field))
+    if draw(st.booleans()):
+        g = draw(reduced_elements(field))
+    else:
+        c = draw(reduced_elements(field, den=field.ring.one)).numer
+        g = field.K.raw_new(f.numer + f.denom * c, f.denom)
+    return f, g
+
+
+def _outcome(op, u, v, Kp):
+    """(numerator, denominator) of ``op(u, v)``, or the exception class."""
+    try:
+        r = op(u, v)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    if not isinstance(r, FracElement):  # sympy returns 0 + c as c itself
+        r = Kp.field_new(r)
+    return r.numer, r.denom
+
+
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("name", sorted(ARITH_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_arithmetic_matches_sympy(name, data):
+    field = ARITH_FIELDS[name]
+    Kp = _plain(field)
+    f, g = data.draw(operand_pairs(field))
+    c = data.draw(reduced_elements(field, den=field.ring.one)).numer
+    n = data.draw(st.integers(-6, 6))
+    r = sp.Rational(data.draw(st.integers(-6, 6)),
+                    data.draw(st.integers(1, 6)))
+    fp, gp = Kp.raw_new(f.numer, f.denom), Kp.raw_new(g.numer, g.denom)
+    for op in OPS:
+        assert _outcome(op, f, g, Kp) == _outcome(op, fp, gp, Kp)
+        for other in (c, n, r):
+            assert _outcome(op, f, other, Kp) == _outcome(op, fp, other, Kp)
+            assert _outcome(op, other, f, Kp) == _outcome(op, other, fp, Kp)
+
+
+def _plain_free_diff(field, f, var):
+    """d/var of ``f`` as sympy cancels the quotient rule, with the
+    derivatives of the generators from the field's table:
+    d(gen)/d(var) = A/B for polynomials A and B."""
+    B, table = field._derivation(var)
+    num, den = f.numer, f.denom
+    dnum = sum((num.diff(g) * a for g, a in table), field.ring.zero)
+    dden = sum((den.diff(g) * a for g, a in table), field.ring.zero)
+    return _plain(field).new(dnum * den - num * dden, B * den**2)
+
+
+@pytest.mark.parametrize("name", sorted(ARITH_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_derivative_matches_sympy(name, data):
+    field = ARITH_FIELDS[name]
+    f = data.draw(reduced_elements(field))
+    for var in (X, Y):
+        want = _plain_free_diff(field, f, var)
+        got = field.free_diff(f, var)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+        if not field._relations:
+            got = field.diff(f, var)
+            assert (got.numer, got.denom) == (want.numer, want.denom)
+
+
+def test_field_elements_mix_with_sympy_elements():
+    field = ARITH_FIELDS["free"]
+    Kp = _plain(field)
+    assert field.K == Kp
+    f = field(1 / (X + A)) * field(X)
+    assert f == Kp.raw_new(f.numer, f.denom)
+    assert str(field.K.x + 1) == "x + 1"
+
+
+# -- the evaluation tape against the closure compiler it replaced -----------
+
+def _note(v: mpmath.mpf, scale: list) -> mpmath.mpf:
+    a = abs(v)
+    if a > scale[0]:
+        scale[0] = a
+    return v
+
+
+def _reference_compile(e: sp.Expr, precision: int = 60):
+    """The closure compiler that compile_numeric replaced: every
+    occurrence of a subexpression is evaluated again."""
+    mpf = mpmath.mpf
+    functions = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp}
+    # one closure per distinct subexpression; each takes (point, scale)
+    memo: dict = {}
+
+    def node(t: sp.Expr):
+        run = memo.get(t)
+        if run is None:
+            run = memo[t] = build(t)
+        return run
+
+    def constant(c):
+        size = abs(c)
+
+        def run(v, s):
+            if size > s[0]:
+                s[0] = size
+            return c
+        return run
+
+    def build(t: sp.Expr):
+        if t.is_Rational:
+            return constant(mpf(t.p) / mpf(t.q))
+        if t.is_Float:
+            return constant(mpf(str(t)))
+        if t.is_NumberSymbol:
+            return constant(mpf(str(sp.N(t, precision + 10))))
+        if t.is_Symbol:
+            def symbol(v, s):
+                if t not in v:
+                    raise ValueError(f"no value assigned to symbol {t}")
+                return _note(v[t], s)
+            return symbol
+        if t.is_Add:
+            terms = [node(a) for a in t.args]
+            return lambda v, s: _note(mpmath.fsum([f(v, s) for f in terms]), s)
+        if t.is_Mul:
+            first, *rest = [node(a) for a in t.args]
+
+            def product(v, s):
+                r = first(v, s)
+                for f in rest:
+                    r *= f(v, s)
+                return _note(r, s)
+            return product
+        if t.is_Pow:
+            return power(t)
+        if t.func in functions:
+            fn, arg = functions[t.func], node(t.args[0])
+            return lambda v, s: _note(fn(arg(v, s)), s)
+        if t.func is sp.log:
+            arg = node(t.args[0])
+
+            def log(v, s):
+                u = arg(v, s)
+                if u < guard:
+                    raise PoleAtPoint(f"ln of non-positive value in {t}")
+                return _note(mpmath.log(u), s)
+            return log
+        raise ValueError(f"cannot evaluate node {t!r}")
+
+    def power(t: sp.Expr):
+        base, ex = node(t.base), t.exp
+        if ex.is_Integer:
+            n = int(ex)
+            if n >= 0:
+                return lambda v, s: _note(base(v, s) ** n, s)
+
+            def inverse(v, s):
+                b = base(v, s)
+                if abs(b) < guard:
+                    raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
+                return _note(b ** n, s)
+            return inverse
+        if ex.is_Rational:
+            num, den = int(ex.p), int(ex.q)
+
+            def root(v, s):
+                b = base(v, s)
+                if b < 0:
+                    if den % 2 == 0:
+                        raise EvenRootOfNegative(
+                            f"even root of negative radicand in {t}")
+                    r = -mpmath.root(-b, den)
+                else:
+                    if num < 0 and b < guard:
+                        raise PoleAtPoint(f"radicand {t.base} ~ 0 under negative power")
+                    r = mpmath.root(b, den)
+                if num < 0 and abs(r) < guard:
+                    raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
+                return _note(r ** num, s)
+            return root
+        exponent = node(ex)
+        return lambda v, s: _note(base(v, s) ** exponent(v, s), s)
+
+    with mpmath.workdps(precision):
+        guard = mpf(10) ** (-(precision // 2))
+        return node(sp.sympify(e))
+
+
+
+def _evaluated(run, point):
+    """(value, scale) of ``run`` at ``point``, or the exception class."""
+    with mpmath.workdps(60):
+        scale = [mpmath.mpf(0)]
+        try:
+            return run(numeric_point(point), scale), scale[0]
+        except (PoleAtPoint, EvenRootOfNegative) as exc:
+            return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_exprs(), st.sampled_from(sorted(ATOMS)), st.data())
+def test_tape_matches_closure_compiler(e, kind, data):
+    atom = data.draw(atom_polys(kind))
+    # repeated subtrees, which the tape computes once
+    e = e * atom + sp.sqrt(atom**2 + 1) / (e**2 + 1) + sp.pi / sp.E
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    point = {X: random_rational(rng), Y: random_rational(rng)}
+    want = _evaluated(_reference_compile(e), point)
+    assert _evaluated(compile_numeric(e, 60), point) == want
+    # a tuple is one tape: each entry's value, and the largest scale
+    value, scale = _evaluated(compile_numeric(sp.Tuple(e, atom, e), 60), point)
+    other = _evaluated(_reference_compile(atom), point)
+    assert value == (want[0], other[0], want[0])
+    assert scale == max(want[1], other[1])
+
+
+@pytest.mark.parametrize("e, x", [
+    (1 / (X - 1), 1), (sp.sqrt(X - 2), 1), (sp.log(X - 1), 1),
+    (Y / (X - 1) + sp.sqrt(X - 2), 1), (sp.sqrt(X - 2) + sp.log(X - 1), 1),
+    (1 / (X - 1) + sp.sqrt(X - 2), Fraction(3, 2)),
+])
+def test_tape_raises_as_closure_compiler(e, x):
+    point = {X: Fraction(x), Y: Fraction(1)}
+    want = _evaluated(_reference_compile(e), point)
+    assert want in (PoleAtPoint, EvenRootOfNegative)
+    assert _evaluated(compile_numeric(e, 60), point) == want

@@ -14,6 +14,7 @@ from painleq.parsing import (NotCubicInDerivative, OdeCubic,
 from painleq.transform import (BranchVerificationFailed, DegenerateMap,
                                PointMap, map_painleve1, map_painleve2,
                                pullback_ode, verify_map)
+from test_exprkernel import _reference_compile
 
 
 def zero(e) -> bool:
@@ -363,3 +364,42 @@ def test_pullback_through_roots_is_equal_to_reference(pmap):
 def test_pullback_rejects_a_map_holding_the_derivative():
     with pytest.raises(NotCubicInDerivative):
         pullback_ode(cn.painleve1(), PointMap(X + P**2 * Y, Y))
+
+
+def _per_piece(e, precision):
+    """verify_map's former compilation: one closure tree per piece."""
+    runs = [_reference_compile(a, precision) for a in e.args]
+    return lambda v, s: tuple(run(v, s) for run in runs)
+
+
+@pytest.mark.parametrize("emit, passes", [
+    (lambda: map_painleve1(check_painleve1(pullback_ode(
+        cn.painleve1(), PointMap(X + 2 * Y**2, Y)))), True),
+    (lambda: map_painleve2(check_painleve2(pullback_ode(
+        cn.painleve2(2), PointMap(X * sp.sin(Y), X * sp.cos(Y))))), True),
+    (lambda: map_painleve2(check_painleve2(cn.painleve2(1)), as_printed=True),
+     False),
+], ids=["PI-shear", "PII-polar", "PII-as-printed"])
+def test_verify_on_one_tape_matches_per_piece_closures(monkeypatch, emit,
+                                                       passes):
+    """Every branch the emission verifies gets the verdict and the residual,
+    to the last digit, of the pieces evaluated one closure tree each."""
+    calls, real = [], transform.verify_map
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(transform, "verify_map", record)
+    try:
+        emit()
+    except BranchVerificationFailed:
+        assert not passes
+    monkeypatch.undo()
+    assert calls
+    for args, kwargs in calls:
+        ok, res = real(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(transform, "compile_numeric", _per_piece)
+            want = real(*args, **kwargs)
+        assert (ok, repr(res)) == (want[0], repr(want[1]))
+    assert ok == passes
