@@ -161,19 +161,20 @@ def _plus(a, b, c, d):
     """a/b + c/d for coprime pairs, as a coprime pair.  With g = gcd(b, d),
     b = g*b1 and d = g*d1, the numerator t = a*d1 + c*b1 is prime to b1 and
     to d1, so it is cancelled against g alone (Henrici)."""
-    one = b.ring.one
+    if d.is_one:
+        return _signed(a + c * b, b)
+    if b.is_one:
+        return _signed(a * d + c, d)
     if b == d:
-        g, t, rest = b, a + c, one
-    elif b.is_one or d.is_one:
-        g, t, rest = one, a * d + c * b, b * d
+        g, t, rest = b, a + c, None
     else:
         g, b1, d1 = b.cofactors(d)
         t, rest = a * d1 + c * b1, b1 * d1
     if not t:
-        return t, one
+        return t, b.ring.one
     if not (g.is_ground and abs(g.LC) == 1):
         _, t, g = t.cofactors(g)
-    return _signed(t, g * rest)
+    return _signed(t, g if rest is None else g * rest)
 
 
 class _Fraction(FracElement):
@@ -183,61 +184,64 @@ class _Fraction(FracElement):
     operands must be reduced; the result is the reduced fraction, with the
     denominator's leading coefficient positive, that sympy's cancelling
     gives, because that fraction is unique in the free polynomial ring.
-    ``**`` and ``K.new`` are sympy's, and so are the operations with
-    anything but an element of this field or its ring, or a rational
-    number."""
+    When both denominators are constants, sympy's cancel is one gcd of
+    contents, and its own operation runs; so it does for ``**``,
+    ``K.new``, and anything but an element of this field or its ring, or a
+    rational number."""
 
-    def _op(f, g, rule, fallback):
-        """rule(f.numer, f.denom, numerator of g, denominator of g)."""
+    def _op(f, g, rule, name):
+        """rule(f.numer, f.denom, numerator of g, denominator of g), or
+        sympy's operation ``name``."""
         ring = f.field.ring
         if f.field.is_element(g):
-            pair = g.numer, g.denom
+            c, d = g.numer, g.denom
         elif ring.is_element(g):
-            pair = g, ring.one
+            c, d = g, ring.one
+        elif f.denom.is_ground:
+            c = d = None
         else:
             op, num, den = f._extract_ground(g)
-            if not op:
-                return fallback(g)
-            pair = ring.ground_new(num), ring.ground_new(den if op < 0 else 1)
-        return f.raw_new(*rule(f.numer, f.denom, *pair))
+            c, d = ((ring.ground_new(num), ring.ground_new(den if op < 0 else 1))
+                    if op else (None, None))
+        if c is None or (d.is_ground and f.denom.is_ground):
+            return getattr(super(_Fraction, f), name)(g)
+        return f.raw_new(*rule(f.numer, f.denom, c, d))
 
     def __add__(f, g):
         if not g:
             return f
         if not f and f.field.is_element(g):
             return g
-        return f._op(g, _plus, super().__add__)
+        return f._op(g, _plus, "__add__")
 
     def __radd__(f, c):
-        return f._op(c, _plus, super().__radd__)
+        return f._op(c, _plus, "__radd__")
 
     def __sub__(f, g):
         if not g:
             return f
         if not f and f.field.is_element(g):
             return -g
-        return f._op(g, lambda a, b, c, d: _plus(a, b, -c, d), super().__sub__)
+        return f._op(g, lambda a, b, c, d: _plus(a, b, -c, d), "__sub__")
 
     def __rsub__(f, c):
-        return f._op(c, lambda a, b, c, d: _plus(-a, b, c, d), super().__rsub__)
+        return f._op(c, lambda a, b, c, d: _plus(-a, b, c, d), "__rsub__")
 
     def __mul__(f, g):
-        return f._op(g, _times, super().__mul__)
+        return f._op(g, _times, "__mul__")
 
     def __rmul__(f, c):
-        return f._op(c, _times, super().__rmul__)
+        return f._op(c, _times, "__rmul__")
 
     def __truediv__(f, g):
         if not g:
             raise ZeroDivisionError
-        return f._op(g, lambda a, b, c, d: _times(a, b, d, c),
-                     super().__truediv__)
+        return f._op(g, lambda a, b, c, d: _times(a, b, d, c), "__truediv__")
 
     def __rtruediv__(f, c):
         if not f:
             raise ZeroDivisionError
-        return f._op(c, lambda a, b, c, d: _times(b, a, c, d),
-                     super().__rtruediv__)
+        return f._op(c, lambda a, b, c, d: _times(b, a, c, d), "__rtruediv__")
 
 
 class _FractionField(FracField):
