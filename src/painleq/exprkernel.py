@@ -250,6 +250,9 @@ class _FractionField(FracField):
 
     def __new__(cls, symbols, domain, order=lex):
         obj = super().__new__(cls, symbols, domain, order)
+        # hashed as sympy's field, which it is equal to
+        obj._hash_tuple = ("FracField",) + obj._hash_tuple[1:]
+        obj._hash = hash(obj._hash_tuple)
         obj.dtype = _Fraction(obj, obj.ring.zero).raw_new
         obj.zero, obj.one = obj.dtype(obj.ring.zero), obj.dtype(obj.ring.one)
         old, obj.gens = obj.gens, obj._gens()

@@ -462,9 +462,10 @@ def test_field_derivative_matches_sympy(name, data):
 def test_field_elements_mix_with_sympy_elements():
     field = ARITH_FIELDS["free"]
     Kp = _plain(field)
-    assert field.K == Kp
+    assert field.K == Kp and hash(field.K) == hash(Kp)
     f = field(1 / (X + A)) * field(X)
-    assert f == Kp.raw_new(f.numer, f.denom)
+    g = Kp.raw_new(f.numer, f.denom)
+    assert f == g and hash(f) == hash(g)
     assert str(field.K.x + 1) == "x + 1"
 
 
