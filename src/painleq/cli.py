@@ -29,7 +29,8 @@ from .classify import (Classification, InvariantReport, SqrtOfNonPositive,
                        classify)
 # normalize stays a module global: perfbench/tracing.py replaces it here by
 # module attribute
-from .exprkernel import DEFAULT_SEED, X, Y, is_identically_zero, normalize
+from .exprkernel import (DEFAULT_SEED, MIN_PRECISION, X, Y,
+                         is_identically_zero, normalize)
 from .invariants import (BothComponentsZero, BranchDisagreement,
                          GammaUndefined, InvariantPipeline)
 from .parsing import (ExprSyntaxError, NotCubicInDerivative, OdeCubic,
@@ -147,12 +148,12 @@ def _finite(e: sp.Expr, what: str) -> sp.Expr:
 
 def _numeric_options(args) -> None:
     """--samples and --precision as numeric verification can use them:
-    at least one sample, and the 30 digits that evaluation needs."""
+    at least one sample, and the digits that evaluation needs."""
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    if args.precision < 30:
-        raise UsageError("--precision must be at least 30 digits, got "
-                         f"{args.precision}")
+    if args.precision < MIN_PRECISION:
+        raise UsageError(f"--precision must be at least {MIN_PRECISION} "
+                         f"digits, got {args.precision}")
 
 
 def _load_ode(args) -> OdeCubic:

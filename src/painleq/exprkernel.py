@@ -52,7 +52,8 @@ __all__ = [
     "substitute",
     "evaluate_numeric", "compile_numeric", "numeric_point",
     "random_rational", "sample_point",
-    "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "ZERO_THRESHOLD",
+    "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "MIN_PRECISION",
+    "ZERO_THRESHOLD",
 ]
 
 X = sp.Symbol("x")
@@ -64,6 +65,8 @@ P = sp.Symbol("p")
 DEFAULT_SEED = 20240
 SAMPLE_COUNT = 12
 SAMPLE_PRECISION = 60
+# the fewest digits evaluate_numeric works at: the threshold needs 30
+MIN_PRECISION = 30
 ZERO_THRESHOLD = Fraction(1, 10**30)
 
 _NONFINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
@@ -184,27 +187,22 @@ class _Fraction(FracElement):
     operands must be reduced; the result is the reduced fraction, with the
     denominator's leading coefficient positive, that sympy's cancelling
     gives, because that fraction is unique in the free polynomial ring.
-    When both denominators are constants, sympy's cancel is one gcd of
-    contents, and its own operation runs; so it does for ``**``,
-    ``K.new``, and anything but an element of this field or its ring, or a
-    rational number."""
+    ``**``, ``K.new``, and the operations with anything but an element of
+    this field or its ring, or a rational number, are sympy's."""
 
     def _op(f, g, rule, name):
         """rule(f.numer, f.denom, numerator of g, denominator of g), or
-        sympy's operation ``name``."""
+        sympy's operation ``name`` when g is none of those."""
         ring = f.field.ring
         if f.field.is_element(g):
             c, d = g.numer, g.denom
         elif ring.is_element(g):
             c, d = g, ring.one
-        elif f.denom.is_ground:
-            c = d = None
         else:
             op, num, den = f._extract_ground(g)
-            c, d = ((ring.ground_new(num), ring.ground_new(den if op < 0 else 1))
-                    if op else (None, None))
-        if c is None or (d.is_ground and f.denom.is_ground):
-            return getattr(super(_Fraction, f), name)(g)
+            if not op:
+                return getattr(super(_Fraction, f), name)(g)
+            c, d = ring.ground_new(num), ring.ground_new(den if op < 0 else 1)
         return f.raw_new(*rule(f.numer, f.denom, c, d))
 
     def __add__(f, g):
@@ -259,6 +257,15 @@ class _FractionField(FracField):
         for symbol, was, gen in zip(obj.symbols, old, obj.gens):
             if getattr(obj, str(symbol), None) is was:
                 setattr(obj, str(symbol), gen)
+        # the lines above copy what FracField.__new__ does in sympy 1.14;
+        # a sympy that builds its fields otherwise fails here, not later
+        one = obj.new(obj.ring.one)
+        if not (type(one) is _Fraction and one.field is obj
+                and (one.numer, one.denom) == (obj.ring.one, obj.ring.one)
+                and all(type(g) is _Fraction for g in obj.gens)):
+            raise RuntimeError("painleq.exprkernel needs the FracField and "
+                               "FracElement of sympy 1.14, found sympy "
+                               f"{sp.__version__}")
         return obj
 
 
@@ -885,8 +892,8 @@ def evaluate_numeric(e: sp.Expr, point: Mapping[sp.Symbol | str, object],
     radicands raise EvenRootOfNegative; denominators below the underflow guard
     raise PoleAtPoint instead of returning garbage.
     """
-    if precision < 30:
-        raise ValueError("precision must be at least 30 digits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
     run = compile_numeric(e, precision)
     with mpmath.workdps(precision):
         return run(numeric_point(point), [mpmath.mpf(0)])

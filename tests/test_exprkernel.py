@@ -15,8 +15,9 @@ from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
-                                X, Y, DegenerateSubstitution, compile_numeric,
-                                differentiate, evaluate_numeric, field_for,
+                                X, Y, DegenerateSubstitution, RationalField,
+                                compile_numeric, differentiate,
+                                evaluate_numeric, field_for,
                                 is_identically_zero, normalize, numeric_point,
                                 random_rational, root_up_to_sign, substitute,
                                 to_expr)
@@ -471,117 +472,6 @@ def test_field_elements_mix_with_sympy_elements():
 
 # -- the evaluation tape against the closure compiler it replaced -----------
 
-def _note(v: mpmath.mpf, scale: list) -> mpmath.mpf:
-    a = abs(v)
-    if a > scale[0]:
-        scale[0] = a
-    return v
-
-
-def _reference_compile(e: sp.Expr, precision: int = 60):
-    """The closure compiler that compile_numeric replaced: every
-    occurrence of a subexpression is evaluated again."""
-    mpf = mpmath.mpf
-    functions = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp}
-    # one closure per distinct subexpression; each takes (point, scale)
-    memo: dict = {}
-
-    def node(t: sp.Expr):
-        run = memo.get(t)
-        if run is None:
-            run = memo[t] = build(t)
-        return run
-
-    def constant(c):
-        size = abs(c)
-
-        def run(v, s):
-            if size > s[0]:
-                s[0] = size
-            return c
-        return run
-
-    def build(t: sp.Expr):
-        if t.is_Rational:
-            return constant(mpf(t.p) / mpf(t.q))
-        if t.is_Float:
-            return constant(mpf(str(t)))
-        if t.is_NumberSymbol:
-            return constant(mpf(str(sp.N(t, precision + 10))))
-        if t.is_Symbol:
-            def symbol(v, s):
-                if t not in v:
-                    raise ValueError(f"no value assigned to symbol {t}")
-                return _note(v[t], s)
-            return symbol
-        if t.is_Add:
-            terms = [node(a) for a in t.args]
-            return lambda v, s: _note(mpmath.fsum([f(v, s) for f in terms]), s)
-        if t.is_Mul:
-            first, *rest = [node(a) for a in t.args]
-
-            def product(v, s):
-                r = first(v, s)
-                for f in rest:
-                    r *= f(v, s)
-                return _note(r, s)
-            return product
-        if t.is_Pow:
-            return power(t)
-        if t.func in functions:
-            fn, arg = functions[t.func], node(t.args[0])
-            return lambda v, s: _note(fn(arg(v, s)), s)
-        if t.func is sp.log:
-            arg = node(t.args[0])
-
-            def log(v, s):
-                u = arg(v, s)
-                if u < guard:
-                    raise PoleAtPoint(f"ln of non-positive value in {t}")
-                return _note(mpmath.log(u), s)
-            return log
-        raise ValueError(f"cannot evaluate node {t!r}")
-
-    def power(t: sp.Expr):
-        base, ex = node(t.base), t.exp
-        if ex.is_Integer:
-            n = int(ex)
-            if n >= 0:
-                return lambda v, s: _note(base(v, s) ** n, s)
-
-            def inverse(v, s):
-                b = base(v, s)
-                if abs(b) < guard:
-                    raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
-                return _note(b ** n, s)
-            return inverse
-        if ex.is_Rational:
-            num, den = int(ex.p), int(ex.q)
-
-            def root(v, s):
-                b = base(v, s)
-                if b < 0:
-                    if den % 2 == 0:
-                        raise EvenRootOfNegative(
-                            f"even root of negative radicand in {t}")
-                    r = -mpmath.root(-b, den)
-                else:
-                    if num < 0 and b < guard:
-                        raise PoleAtPoint(f"radicand {t.base} ~ 0 under negative power")
-                    r = mpmath.root(b, den)
-                if num < 0 and abs(r) < guard:
-                    raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
-                return _note(r ** num, s)
-            return root
-        exponent = node(ex)
-        return lambda v, s: _note(base(v, s) ** exponent(v, s), s)
-
-    with mpmath.workdps(precision):
-        guard = mpf(10) ** (-(precision // 2))
-        return node(sp.sympify(e))
-
-
-
 def _evaluated(run, point):
     """(value, scale) of ``run`` at ``point``, or the exception class."""
     with mpmath.workdps(60):
@@ -594,17 +484,17 @@ def _evaluated(run, point):
 
 @settings(max_examples=40, deadline=None)
 @given(rational_exprs(), st.sampled_from(sorted(ATOMS)), st.data())
-def test_tape_matches_closure_compiler(e, kind, data):
+def test_tape_matches_closure_compiler(reference_compile, e, kind, data):
     atom = data.draw(atom_polys(kind))
     # repeated subtrees, which the tape computes once
     e = e * atom + sp.sqrt(atom**2 + 1) / (e**2 + 1) + sp.pi / sp.E
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     point = {X: random_rational(rng), Y: random_rational(rng)}
-    want = _evaluated(_reference_compile(e), point)
+    want = _evaluated(reference_compile(e), point)
     assert _evaluated(compile_numeric(e, 60), point) == want
     # a tuple is one tape: each entry's value, and the largest scale
     value, scale = _evaluated(compile_numeric(sp.Tuple(e, atom, e), 60), point)
-    other = _evaluated(_reference_compile(atom), point)
+    other = _evaluated(reference_compile(atom), point)
     assert value == (want[0], other[0], want[0])
     assert scale == max(want[1], other[1])
 
@@ -614,8 +504,17 @@ def test_tape_matches_closure_compiler(e, kind, data):
     (Y / (X - 1) + sp.sqrt(X - 2), 1), (sp.sqrt(X - 2) + sp.log(X - 1), 1),
     (1 / (X - 1) + sp.sqrt(X - 2), Fraction(3, 2)),
 ])
-def test_tape_raises_as_closure_compiler(e, x):
+def test_tape_raises_as_closure_compiler(reference_compile, e, x):
     point = {X: Fraction(x), Y: Fraction(1)}
-    want = _evaluated(_reference_compile(e), point)
+    want = _evaluated(reference_compile(e), point)
     assert want in (PoleAtPoint, EvenRootOfNegative)
     assert _evaluated(compile_numeric(e, 60), point) == want
+
+
+def test_field_subclass_refuses_a_sympy_it_was_not_built_for(monkeypatch):
+    """A sympy whose FracField makes its generators without the field's
+    element type fails when the field is made, not in the arithmetic."""
+    monkeypatch.setattr(FracField, "_gens", lambda K: tuple(
+        FracElement(K, g) for g in K.ring.gens))
+    with pytest.raises(RuntimeError, match="sympy 1.14"):
+        RationalField((X, Y))

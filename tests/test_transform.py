@@ -14,7 +14,6 @@ from painleq.parsing import (NotCubicInDerivative, OdeCubic,
 from painleq.transform import (BranchVerificationFailed, DegenerateMap,
                                PointMap, map_painleve1, map_painleve2,
                                pullback_ode, verify_map)
-from test_exprkernel import _reference_compile
 
 
 def zero(e) -> bool:
@@ -366,12 +365,6 @@ def test_pullback_rejects_a_map_holding_the_derivative():
         pullback_ode(cn.painleve1(), PointMap(X + P**2 * Y, Y))
 
 
-def _per_piece(e, precision):
-    """verify_map's former compilation: one closure tree per piece."""
-    runs = [_reference_compile(a, precision) for a in e.args]
-    return lambda v, s: tuple(run(v, s) for run in runs)
-
-
 @pytest.mark.parametrize("emit, passes", [
     (lambda: map_painleve1(check_painleve1(pullback_ode(
         cn.painleve1(), PointMap(X + 2 * Y**2, Y)))), True),
@@ -380,11 +373,17 @@ def _per_piece(e, precision):
     (lambda: map_painleve2(check_painleve2(cn.painleve2(1)), as_printed=True),
      False),
 ], ids=["PI-shear", "PII-polar", "PII-as-printed"])
-def test_verify_on_one_tape_matches_per_piece_closures(monkeypatch, emit,
-                                                       passes):
+def test_verify_on_one_tape_matches_per_piece_closures(monkeypatch,
+                                                       reference_compile,
+                                                       emit, passes):
     """Every branch the emission verifies gets the verdict and the residual,
     to the last digit, of the pieces evaluated one closure tree each."""
     calls, real = [], transform.verify_map
+
+    def per_piece(e, precision):
+        """verify_map's former compilation: one closure tree per piece."""
+        runs = [reference_compile(a, precision) for a in e.args]
+        return lambda v, s: tuple(run(v, s) for run in runs)
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
@@ -399,7 +398,7 @@ def test_verify_on_one_tape_matches_per_piece_closures(monkeypatch, emit,
     for args, kwargs in calls:
         ok, res = real(*args, **kwargs)
         with monkeypatch.context() as m:
-            m.setattr(transform, "compile_numeric", _per_piece)
+            m.setattr(transform, "compile_numeric", per_piece)
             want = real(*args, **kwargs)
         assert (ok, repr(res)) == (want[0], repr(want[1]))
     assert ok == passes
