@@ -3,8 +3,7 @@ parameters, with explicit changes of variables built from differential
 invariants."""
 
 from .exprkernel import (DEFAULT_SEED, X, Y, P, ZeroVerdict, differentiate,
-                         evaluate_numeric, is_identically_zero, normalize,
-                         substitute)
+                         evaluate_numeric, is_identically_zero, normalize)
 from .parsing import (OdeCubic, parse_expression, extract_cubic_coefficients,
                       to_grammar)
 from .invariants import InvariantPipeline, Pseudo, BranchChoice, WEIGHTS
@@ -16,7 +15,7 @@ from . import canonical
 
 __all__ = [
     "DEFAULT_SEED", "X", "Y", "P", "ZeroVerdict", "differentiate",
-    "evaluate_numeric", "is_identically_zero", "normalize", "substitute",
+    "evaluate_numeric", "is_identically_zero", "normalize",
     "OdeCubic", "parse_expression", "extract_cubic_coefficients", "to_grammar",
     "InvariantPipeline", "Pseudo", "BranchChoice", "WEIGHTS",
     "Classification", "InvariantReport", "check_painleve1", "check_painleve2",

@@ -80,16 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bind a symbolic parameter (value may itself be "
                              "symbolic); repeatable")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="sample count for numeric verification")
-    common.add_argument("--precision", type=int, default=60,
-                        help="working decimal digits for numeric evaluation")
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a machine-readable JSON report")
-    common.add_argument("--p2zam-as-printed", action="store_true",
-                        help="use the uncorrected sixth-root x-formula for "
-                             "the Painleve II map (fails verification; kept "
-                             "for arbitration)")
+
+    # only map and verify evaluate numerically
+    numeric = argparse.ArgumentParser(add_help=False)
+    numeric.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                         help="sample count for numeric verification")
+    numeric.add_argument("--precision", type=int, default=60,
+                         help="working decimal digits for numeric evaluation")
 
     mapargs = argparse.ArgumentParser(add_help=False)
     mapargs.add_argument("--x-new", required=True,
@@ -106,9 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the theorem checks and report the class")
     sub.add_parser("invariants", parents=[common],
                    help="report pseudoinvariants and weight-0 invariants")
-    sub.add_parser("map", parents=[common],
-                   help="classify and emit the verified change of variables")
-    ver = sub.add_parser("verify", parents=[common, mapargs],
+    emit = sub.add_parser("map", parents=[common, numeric],
+                          help="classify and emit the verified change of "
+                               "variables")
+    emit.add_argument("--p2zam-as-printed", action="store_true",
+                      help="use the uncorrected sixth-root x-formula for "
+                           "the Painleve II map (fails verification; kept "
+                           "for arbitration)")
+    ver = sub.add_parser("verify", parents=[common, numeric, mapargs],
                          help="verify a supplied map against a target class")
     ver.add_argument("--target", required=True,
                      choices=("painleve1", "painleve2"))

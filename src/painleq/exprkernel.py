@@ -45,11 +45,10 @@ from sympy.polys.orderings import lex
 
 __all__ = [
     "X", "Y", "P",
-    "ZeroVerdict", "DegenerateSubstitution", "PoleAtPoint", "EvenRootOfNegative",
+    "ZeroVerdict", "PoleAtPoint", "EvenRootOfNegative",
     "RationalField", "field_for",
     "differentiate", "normalize", "to_expr", "root_up_to_sign",
     "is_identically_zero",
-    "substitute",
     "evaluate_numeric", "compile_numeric", "numeric_point",
     "random_rational", "sample_point",
     "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "MIN_PRECISION",
@@ -70,10 +69,6 @@ MIN_PRECISION = 30
 ZERO_THRESHOLD = Fraction(1, 10**30)
 
 _NONFINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
-
-
-class DegenerateSubstitution(ValueError):
-    """Substitution produced an identically-zero denominator."""
 
 
 class PoleAtPoint(ArithmeticError):
@@ -270,10 +265,13 @@ class _FractionField(FracField):
 
 
 def _symbol_order(symbols) -> list[sp.Symbol]:
-    """The symbols in generator order: x and y first when both are present,
-    then the rest by name."""
-    first = [X, Y] if {X, Y} <= symbols else []
-    return first + sorted(symbols - set(first), key=sp.default_sort_key)
+    """The symbols in generator order: x, then y, whichever of them is
+    present, then the rest by name.  Every field orders the symbols it holds
+    as this one global order does, so the sign rule of reduced fractions
+    (the denominator's leading coefficient in lex order is positive) is the
+    same rule in every field."""
+    first = [s for s in (X, Y) if s in symbols]
+    return first + sorted(symbols - {X, Y}, key=sp.default_sort_key)
 
 
 def _generators(exprs) -> tuple[sp.Expr, ...]:
@@ -374,7 +372,6 @@ class RationalField:
                 if g.base.is_Integer:
                     self._relations.append(
                         (i, q, self.ring.ground_new(int(g.base))))
-        self._related = {i for i, _, _ in self._relations + self._sin_relations}
         self._powers: dict[tuple[int, int], object] = {}
         self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
         self._tables: dict[sp.Symbol, tuple] = {}
@@ -413,7 +410,10 @@ class RationalField:
                 num, den = num * f.numer, den * f.denom
             return K.new(num, den)
         if e.is_Pow and e.exp.is_Integer:
-            return self._convert(e.base) ** int(e.exp)
+            n = int(e.exp)
+            f = self._convert(e.base) ** n
+            # a negative power inverts the fraction as it stands
+            return f if n >= 0 else K.raw_new(*_signed(f.numer, f.denom))
         if e.is_Pow and e.exp.is_Rational and e.base in self._roots:
             root, q = self._roots[e.base]
             return root ** int(e.exp * q)
@@ -495,55 +495,6 @@ class RationalField:
         rel = self._sin_relations
         return self.K.new(self._reduce_poly(f.numer, rel),
                           self._reduce_poly(f.denom, rel))
-
-    def has_relation(self, p) -> bool:
-        """True when the polynomial ``p`` holds a generator that a relation
-        rewrites: i, a root of an integer, or either member of a cos/sin
-        pair."""
-        return any(p.degree(i) > 0 for i in self._related)
-
-    def own_sign(self, f: FracElement, *polys) -> FracElement:
-        """``f`` with the sign that :func:`normalize` gives it when the
-        expression it converts holds the generators of ``polys`` (by default
-        those of ``f``).  ``K.new`` keeps the leading coefficient of the
-        denominator positive in the lex order of the generators, and the
-        field of an expression with fewer symbols can order them
-        differently: without ``y``, ``a`` comes before ``x``."""
-        used = set()
-        for p in polys or (f.numer, f.denom):
-            for i, d in enumerate(p.degrees()):
-                if d > 0:
-                    used |= self.symbols[i].free_symbols
-        own = _symbol_order(used)
-        if own == [g for g in self.symbols if g in used]:
-            return f
-        order = [self.symbols.index(s) for s in own] + [
-            i for i, g in enumerate(self.symbols) if not g.is_Symbol]
-        lead = max(f.denom.itermonoms(), key=lambda m: [m[i] for i in order])
-        if f.denom[lead] > 0:
-            return f
-        return self.K.raw_new(-f.numer, -f.denom)
-
-    def coefficient(self, f: FracElement, part, den, n: int = 1) -> FracElement:
-        """``f`` = ``part/den`` over ``n``, signed as :func:`normalize`
-        prints it: ``normalize(part/den)`` for ``n`` = 1, and that
-        normalized again over ``n`` otherwise.  ``f`` is the reduced quotient
-        of the polynomials ``part`` and ``den``; the sign comes from the
-        generators they hold (see :meth:`own_sign`)."""
-        f = self.own_sign(f, part, den)
-        if n == 1:
-            return f
-        num, den = f.numer, f.denom
-        if num == n and len(den) > 1 and not self.has_relation(den):
-            # n/den over n is 1/den, whose denominator normalize inverts as
-            # it stands
-            return self.K.raw_new(self.ring.one, den)
-        # num and den are coprime, so only the content of num meets n
-        g = gcd(int(num.content()), n)
-        num, den = num.quo_ground(g), den * (n // g)
-        if den.LC < 0:
-            num, den = -num, -den
-        return self.own_sign(self.K.raw_new(num, den))
 
     # -- derivations --------------------------------------------------------
 
@@ -870,18 +821,6 @@ def is_identically_zero(e: sp.Expr | FracElement,
         return ZeroVerdict("unknown", "no non-singular sample point found")
     return ZeroVerdict("unknown",
                        f"{tested} samples below tolerance but not proved zero")
-
-
-def substitute(e: sp.Expr, bindings: Mapping[sp.Symbol | str, sp.Expr]) -> sp.Expr:
-    """Simultaneous substitution followed by normalization."""
-    subs = {sp.Symbol(k) if isinstance(k, str) else k: sp.sympify(v)
-            for k, v in bindings.items()}
-    result = sp.sympify(e).subs(subs, simultaneous=True)
-    result = normalize(result)
-    if result.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise DegenerateSubstitution(
-            "substitution produced an identically-zero denominator")
-    return result
 
 
 def evaluate_numeric(e: sp.Expr, point: Mapping[sp.Symbol | str, object],

@@ -33,9 +33,7 @@ from .parsing import OdeCubic
 
 __all__ = [
     "WEIGHTS", "Pseudo", "BranchChoice", "BothComponentsZero", "GammaUndefined",
-    "BranchDisagreement", "InvariantPipeline", "alpha_field", "f_condition",
-    "pseudoinvariant_N", "phi_fields", "pseudoinvariant_M",
-    "pseudoinvariant_Omega", "omega_theta", "L_chain", "xi_gamma_Gamma",
+    "BranchDisagreement", "InvariantPipeline",
 ]
 
 WEIGHTS = {
@@ -470,50 +468,3 @@ class InvariantPipeline:
             return Pseudo(name, WEIGHTS[name], tuple(vectors[name]()))
         return Pseudo(name, WEIGHTS[name], (getattr(self, name),))
 
-
-# -- functional surface ----------------------------------------------------
-
-def alpha_field(ode: OdeCubic) -> Pseudo:
-    """Pseudovector alpha of weight 2, components (B, -A)."""
-    return InvariantPipeline(ode).pseudo("alpha")
-
-
-def f_condition(ode: OdeCubic, seed: int = DEFAULT_SEED):
-    """Returns (G, H, 3*F^5, verdict) for the first theorem condition."""
-    pipe = InvariantPipeline(ode, seed=seed)
-    return pipe.G, pipe.H, pipe.F5, pipe.f_verdict
-
-
-def pseudoinvariant_N(ode: OdeCubic, seed: int = DEFAULT_SEED) -> Pseudo:
-    return InvariantPipeline(ode, seed=seed).pseudo("N")
-
-
-def phi_fields(ode: OdeCubic, seed: int = DEFAULT_SEED) -> tuple[sp.Expr, sp.Expr]:
-    return InvariantPipeline(ode, seed=seed).phi
-
-
-def pseudoinvariant_M(ode: OdeCubic, seed: int = DEFAULT_SEED) -> Pseudo:
-    return InvariantPipeline(ode, seed=seed).pseudo("M")
-
-
-def pseudoinvariant_Omega(ode: OdeCubic, seed: int = DEFAULT_SEED) -> Pseudo:
-    return InvariantPipeline(ode, seed=seed).pseudo("Omega")
-
-
-def omega_theta(ode: OdeCubic, seed: int = DEFAULT_SEED):
-    """(omega covector, Theta, theta vector)."""
-    pipe = InvariantPipeline(ode, seed=seed)
-    return pipe.pseudo("omega"), pipe.pseudo("Theta"), pipe.pseudo("theta")
-
-
-def L_chain(ode: OdeCubic, seed: int = DEFAULT_SEED):
-    """(L, L1, W, V) as weight-tagged pseudoinvariants."""
-    pipe = InvariantPipeline(ode, seed=seed)
-    return (pipe.pseudo("L"), pipe.pseudo("L1"), pipe.pseudo("W"),
-            pipe.pseudo("V"))
-
-
-def xi_gamma_Gamma(ode: OdeCubic, seed: int = DEFAULT_SEED):
-    """(xi, gamma, Gamma); Gamma requires M not identically zero."""
-    pipe = InvariantPipeline(ode, seed=seed)
-    return pipe.pseudo("xi"), pipe.gamma, pipe.pseudo("Gamma")

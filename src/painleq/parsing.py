@@ -257,7 +257,9 @@ def extract_cubic_coefficients(rhs: sp.Expr) -> OdeCubic:
 
     The right-hand side is normalized once; its reduced numerator is split
     by degree in p inside its field, and each part is divided by the
-    denominator there (and by 3 for Q and R).
+    denominator there (and by 3 for Q and R).  Each coefficient is then the
+    reduced fraction with its denominator's leading coefficient positive,
+    as :func:`normalize` gives it.
     """
     rhs = normalize(sp.sympify(rhs))
     for atom in rhs.atoms(sp.sin, sp.cos, sp.exp, sp.log):
@@ -286,22 +288,6 @@ def extract_cubic_coefficients(rhs: sp.Expr) -> OdeCubic:
             raise NotCubicInDerivative(
                 f"degree {num.degree(i)} in the derivative exceeds 3")
         parts = [num.coeff_wrt(i, k) for k in range(4)]
-    return OdeCubic(*(_coefficient(field, rhs, c, den, d)
+    return OdeCubic(*(to_expr(field.K.new(c, d * den))
                       for c, d in zip(parts, (1, 3, 3, 1))))
 
-
-def _coefficient(field, rhs: sp.Expr, part, den, d: int) -> sp.Expr:
-    """``part/(d*den)`` as an expression, printed as normalizing each
-    coefficient ``c`` over the denominator ``den`` of ``rhs`` prints it
-    (``normalize(c/den)``, and that over 3 again for Q and R, with ``d`` = 3).
-
-    ``normalize`` keeps the leading coefficient of a denominator positive in
-    the order of the expression's own generators, and leaves the denominator
-    of ``1/den`` as it stands when no relation rewrites it (see
-    ``RationalField.coefficient``)."""
-    if d == 1 and len(den) > 1 and part in (1, -1) \
-            and not field.has_relation(den):
-        den_expr = rhs.as_numer_denom()[1]
-        if field(den_expr).numer == part * den:  # c is 1
-            return 1 / den_expr
-    return to_expr(field.coefficient(field.K.new(part, den), part, den, d))

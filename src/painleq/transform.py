@@ -9,7 +9,6 @@ pushforward of second-derivative jets at seeded sample points.
 from __future__ import annotations
 
 import random
-from math import gcd
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -155,108 +154,6 @@ def _at(poly, images: list[FracElement], K) -> FracElement:
     return total
 
 
-def _written(e: sp.Expr, moved):
-    """The product ``e`` as ``sp.together`` writes it: (number, monomial,
-    {sum: power}) with each base sent to its polynomial by ``moved``, the
-    sums primitive with the sign they are written with, and the contents
-    and signs left out.  None when a base has no polynomial image."""
-    number, mono, sums = 1, None, {}
-    for f in sp.Mul.make_args(e):
-        b, k = (f.base, f.exp) if f.is_Pow else (f, sp.S.One)
-        if not k.is_Integer:
-            return None
-        if b.is_Number:
-            number *= abs(int(f))
-            continue
-        g = moved(b)
-        if not g.denom.is_ground:
-            return None
-        content, g = g.numer.primitive()
-        number *= int(content)**int(k)
-        if len(g) > 1:
-            sums[g] = sums.get(g, 0) + int(k)
-        else:
-            g = g if g.LC > 0 else -g
-            mono = g**int(k) if mono is None else mono * g**int(k)
-    return number, mono, sums
-
-
-def _together_denominator(coeffs, T, images, q, det, F):
-    """The denominator that ``sp.together`` writes ``q`` over, as
-    (number, monomial, {sum: power}) (see :func:`_written`): the lcm of
-    the denominators of the target's coefficients (Q and R times 3) moved
-    through the map, with the number that the content of the numerator
-    leaves, times the Jacobian's numerator.  None when that is no
-    polynomial."""
-    one = F.ring.one
-    mono, sums = one, {}
-    for c, n in zip(coeffs, (1, 3, 3, 1)):
-        w = _written((n * c).as_numer_denom()[1],
-                     lambda b: _at(T.free(b).numer, images, F.K))
-        if w is None:
-            return None
-        mono = mono.lcm(w[1] or one)
-        for g, k in w[2].items():
-            sums[g] = max(sums.get(g, 0), k)
-    whole = mono
-    for g, k in sums.items():
-        whole *= g**k
-    jac = F.free(det)
-    inner = q * jac if not jac.numer.is_ground else q
-    inner = inner * whole
-    if not inner.denom.is_ground:
-        return None
-    number = int(inner.denom.LC) // gcd(int(inner.numer.content()),
-                                          int(inner.denom.LC))
-    if not jac.numer.is_ground:
-        w = _written(det.as_numer_denom()[0], F.free)
-        if w is None:
-            return None
-        number *= w[0]
-        mono *= w[1] or one
-        for g, k in w[2].items():
-            sums[g] = sums.get(g, 0) + k
-    return number, mono, sums
-
-
-def _printed(f: FracElement, den) -> tuple:
-    """How ``normalize(c/den)`` prints ``f`` = ``c/den`` for ``den`` as
-    ``sp.together`` writes it (see :func:`_together_denominator`), once
-    sympy's ``Mul`` has merged the factors of ``c`` and ``den`` that share a
-    base: (w, None) when that leaves ``1/w`` for a written sum power ``w``,
-    which ``normalize`` inverts as it stands, and otherwise (None, g) with
-    the polynomial ``g`` holding the generators that are left."""
-    number, mono, sums = den
-    ring = f.denom.ring
-    if mono == ring.one and len(sums) == 1 and set(sums.values()) == {1}:
-        # sympy distributes the number over a lone sum
-        (g,) = sums
-        number, sums = 1, {number * g: 1}
-    whole = number * mono
-    for g, k in sums.items():
-        whole *= g**k
-    t, r = whole.div(f.denom)
-    c = f.numer * t
-    if r or not c:
-        return None, None
-    bases = {g: -k for g, k in sums.items()}
-    if len(c) == 1:
-        (exps, lead), = c.items()
-        exps = [a - b for a, b in zip(exps, mono.LM)]
-        left = lead != number or any(exps)
-    else:
-        bases[c] = bases.get(c, 0) + 1
-        exps, left = mono.LM, number != 1 or mono != ring.one
-    bases = {g: k for g, k in bases.items() if k}
-    if not left and len(bases) == 1 and min(bases.values()) < 0:
-        (g, k), = bases.items()
-        return g**-k, None
-    held = ring.from_dict({tuple(abs(a) for a in exps): 1})
-    for g in bases:
-        held *= g
-    return None, held
-
-
 def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     """Equation in (x, y) whose solutions are carried onto solutions of
     ``target`` by ``pmap``; used to generate disguised test instances.
@@ -268,16 +165,14 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     and the target's atoms moved through the map, without reducing modulo
     cos^2 + sin^2 - 1.  That free field is a UFD, so the coefficient of
     each power of p is one element however it was computed; only after the
-    split is each coefficient reduced, and printed with the sign that
-    normalizing it on its own gives (``RationalField.coefficient``).  The
-    quotient ring of a sin/cos pair is not a UFD: reducing q before the
-    split would give other, equal, fractions for trig maps.
+    split is each coefficient reduced.  The quotient ring of a sin/cos pair
+    is not a UFD: reducing q before the split would give other, equal,
+    fractions for trig maps.
 
-    The output is what the expression formula (sympy's diff, subs, together,
-    expand and Poly, and a normalize per coefficient) printed.  normalize is
-    not sign-canonical, so the denominator that together wrote the quotient
-    over is modelled (:func:`_together_denominator`) to keep the signs it
-    printed.
+    Each coefficient is the reduced fraction with its denominator's leading
+    coefficient positive, so it prints as :func:`normalize` prints the
+    coefficient that the expression formula (sympy's diff, subs, together,
+    expand and Poly) gives.
     """
     xm, ym = sp.sympify(pmap.x_new), sp.sympify(pmap.y_new)
     if xm.has(P) or ym.has(P):
@@ -312,25 +207,8 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     q = (rhs_u3 - a2 * u + v * b2) / F.free(det)
     i = F.symbols.index(P)
     parts = [q.numer.coeff_wrt(i, k) for k in range(4)]
-    written = (_together_denominator(coeffs, T, images, q, det, F)
-               if all(g.denom.is_ground for g in (u, v, a2, b2)) else None)
-    return OdeCubic(*(_coefficient(F, c, q.denom, n, written)
+    return OdeCubic(*(to_expr(F.reduce(K.new(c, n * q.denom)))
                       for c, n in zip(parts, (1, 3, 3, 1))))
-
-
-def _coefficient(F, part, den, n: int, written) -> sp.Expr:
-    """``part/(n*den)`` printed as ``normalize(part/den)`` prints it, and
-    for ``n`` = 3 as normalizing that over 3 again prints it.  ``written``
-    is the denominator that ``sp.together`` would write the quotient over
-    (see :func:`_together_denominator`), or None."""
-    f = F.reduce(F.K.new(part, den))
-    if written and f:
-        w, held = _printed(f, written)
-        if w is not None and n == 1 and not F.has_relation(w):
-            return to_expr(F.K.raw_new(F.ring.one, w))
-        if held is not None:
-            part, den = held, F.ring.one
-    return to_expr(F.coefficient(f, part, den, n))
 
 
 def verify_map(source: OdeCubic, target: str, pmap: PointMap,

@@ -171,6 +171,13 @@ def test_pullback_round_trips_through_classify():
     ["pullback", "--rhs", "6*y^2+x",                  # undefined map
      "--x-new", "1/0", "--y-new", "y"],
     ["pullback", "--rhs", "6*y^2+x", "--x-new", "x", "--y-new", "ln(0)"],
+    ["classify", "--rhs", "6*y^2+x", "--samples", "0"],  # flags of map only
+    ["invariants", "--rhs", "6*y^2+x", "--precision", "60"],
+    ["pullback", "--rhs", "6*y^2+x", "--x-new", "x", "--y-new", "y",
+     "--samples", "5"],
+    ["classify", "--rhs", "6*y^2+x", "--p2zam-as-printed"],
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
+     "--x-new", "x", "--y-new", "y", "--p2zam-as-printed"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)

@@ -15,11 +15,11 @@ from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
-                                X, Y, DegenerateSubstitution, RationalField,
+                                X, Y, RationalField,
                                 compile_numeric, differentiate,
                                 evaluate_numeric, field_for,
                                 is_identically_zero, normalize, numeric_point,
-                                random_rational, root_up_to_sign, substitute,
+                                random_rational, root_up_to_sign,
                                 to_expr)
 
 
@@ -83,6 +83,36 @@ def rational_exprs(draw):
 def test_normalize_idempotent(e):
     n = normalize(e)
     assert normalize(n) == n
+
+
+SIGN_ORDER = (X, Y, *sp.symbols("a b"))
+
+
+@st.composite
+def denominators(draw):
+    """A nonconstant primitive polynomial in x and y, in x alone or in y
+    alone, and in a and b, with a leading coefficient of either sign."""
+    gens = draw(st.sampled_from([(X, Y), (X,), (Y,)])) + SIGN_ORDER[2:]
+    n = len(gens)
+    # sparse terms, so that the leading terms of different orders differ
+    term = st.tuples(st.integers(-4, 4).filter(bool),
+                     st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n,
+                              max_size=n))
+    den = sum(c * sp.Mul(*(g**k for g, k in zip(gens, m)))
+              for c, m in draw(st.lists(term, min_size=1, max_size=4)))
+    assume(den.free_symbols)
+    return sp.Poly(den, *gens).primitive()[1].as_expr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(denominators())
+def test_one_sign_rule_for_every_fraction(den):
+    """1/den, -1/den and 2/den print one denominator, and its leading
+    coefficient is positive in the lex order x, y, a, b, also when den
+    holds only one of x and y."""
+    dens = {sp.fraction(normalize(c / den))[1] for c in (1, -1, 2)}
+    assert len(dens) == 1
+    assert sp.Poly(dens.pop(), *SIGN_ORDER).LC() > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -329,16 +359,6 @@ def test_evaluate_pole():
 def test_evaluate_log_pole():
     with pytest.raises(PoleAtPoint):
         evaluate_numeric(sp.log(X), {X: Fraction(0)})
-
-
-def test_substitute_simultaneous():
-    e = substitute(X * Y, {X: Y, Y: X})
-    assert e == X * Y
-
-
-def test_substitute_degenerate():
-    with pytest.raises(DegenerateSubstitution):
-        substitute(1 / (X - Y), {X: Y})
 
 
 def test_random_rational_range():

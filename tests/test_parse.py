@@ -143,7 +143,7 @@ RHS_ATOMS = [sp.sin(Y), sp.cos(Y), sp.exp(X), sp.exp(2 * X), sp.log(X),
 def cubic_rhs(draw):
     """Right-hand sides cubic in p over x, y, the parameter a and up to two
     atoms, divided by 1, a constant or a polynomial; the denominators in x
-    and a alone order differently in a field without y."""
+    and a alone check that a field without y still puts x first."""
     pool = [X, Y, A] + draw(st.lists(st.sampled_from(RHS_ATOMS), max_size=2,
                                      unique=True))
     term = st.tuples(st.integers(-4, 4),
@@ -164,12 +164,14 @@ def test_extract_agrees_with_poly_reference(rhs):
     _assert_extracts_as_reference(rhs)
 
 
+# inputs written over denominators of either sign; every coefficient's
+# denominator leads positive in x, y, a, b
 @pytest.mark.parametrize("text", [
-    "p*x/(x-a) + y",          # Q over x - a, whose own field puts a first
-    "p^3/(x-a) + y",          # 1/(x - a) keeps the sign it was written with
-    "p^3/(a-x) + y",
-    "p^3/(x-a+sin(x)) + y",   # ... unless a relation reduces it
-    "(x-a)/(y+b) + 3*p/(x-a)",  # 3/(x - a) over 3 inverts x - a as it stands
+    "p*x/(x-a) + y",          # Q is x/(-3*a + 3*x): x before a without y
+    "p^3/(x-a) + y",          # S is 1/(-a + x)
+    "p^3/(a-x) + y",          # S is -1/(-a + x)
+    "p^3/(x-a+sin(x)) + y",   # S is 1/(-a + x + sin(x))
+    "(x-a)/(y+b) + 3*p/(x-a)",  # Q is 1/(-a + x)
     "(b*y + p^3*(4*b - 3*b^2) + p*exp(-x))/(5*b^2 - y)",
     "(x^(1/3)*p^2 + p*x + 1)/(x - 1)",
     "(sin(y)*p^3 + cos(y)*p + x)/(x^2 + sin(y))",

@@ -315,20 +315,22 @@ def test_pullback_expands_moved_exponentials():
     _assert_pulls_back_as_reference(target, pmap)
 
 
+# targets and maps that sympy writes over denominators of either sign; every
+# coefficient's denominator leads positive in x, y, a, b
 @pytest.mark.parametrize("target, pmap", [
-    # S is -1/(3*a - 9*x): the coefficient's own field puts a before x
+    # S is 1/(-3*a + 9*x): a field without y still puts x before a
     (_ode("p^3/(x-a)"), PointMap(3 * X, 2 * X**3 - Y)),
-    # Q is 1/(-2*a + 4*x + 2): 3/den over 3 inverts den as it stands
+    # Q is 1/(-2*a + 4*x + 2)
     (_ode("(x-a)/(y+b) + p^3/(x-a)"), PointMap(2 * X + 1, X + 3 * Y)),
-    # S is 1/(-a + x + 1): 1 over the one sum together writes
+    # S is 1/(-a + x + 1)
     (_ode("p^3/(x-a) + y"), PointMap(X + 1, Y + 1)),
     (_ode("p/(x-a) + p^2/(y-b)"), PointMap(X + 1, Y + 2)),
-    # together writes 3*(y - b) as one sum, -3*b + 3*y
+    # P is 1/(-3*b + 3*y)
     (OdeCubic(1 / (3 * (Y - B)), *[sp.Integer(0)] * 3), PointMap(X + Y**2, Y)),
-    # P is x over x*(-x + y): Mul cancels x and leaves 1/(-x + y)
+    # P is x over x*(x - y), which prints -1/(x - y)
     (cn.painleve3_zero(1), PointMap(-4 * X, -4 * X + 4 * Y)),
     # P is a + x + 2*y**3 - 2 over 6*(-b + 2*y + 2)*(a + x + 2*y**3 - 2):
-    # Mul cancels the sum, and the sign is that of a field without x
+    # the sum cancels, and 1/(-6*b + 12*y + 12) is left
     (OdeCubic(1 / (3 * Y - 3 * B), -1 / (A - X), -1 / (A - X), sp.Integer(0)),
      PointMap(-X - 2 * Y**3 + 2, 2 * Y + 2)),
 ])
@@ -338,7 +340,7 @@ def test_pullback_keeps_the_signs_normalize_prints(target, pmap):
 
 def test_pullback_sign_trap_values():
     ode = pullback_ode(_ode("p^3/(x-a)"), PointMap(3 * X, 2 * X**3 - Y))
-    assert str(ode.S) == "-1/(3*a - 9*x)"
+    assert str(ode.S) == "1/(-3*a + 9*x)"
     ode = pullback_ode(_ode("(x-a)/(y+b) + p^3/(x-a)"),
                        PointMap(2 * X + 1, X + 3 * Y))
     assert str(ode.Q) == "1/(-2*a + 4*x + 2)"
