@@ -282,28 +282,35 @@ def _generators(exprs) -> tuple[sp.Expr, ...]:
     symbols, trig, logs, other = set(), set(), set(), set()
     exps: dict[sp.Expr, set] = {}
     roots: dict[sp.Expr, int] = {}
-    for e in exprs:
-        symbols |= e.free_symbols
-        for f in e.atoms(sp.Function):
-            if f.func in (sp.sin, sp.cos):
-                trig.add(f.args[0])
-            elif f.func is sp.exp:
-                c, m = _exp_split(f.args[0])
+    # one walk over every distinct node
+    stack, seen = list(exprs), set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node.args)
+        if node.is_Symbol:
+            symbols.add(node)
+        elif isinstance(node, sp.Function):
+            if node.func in (sp.sin, sp.cos):
+                trig.add(node.args[0])
+            elif node.func is sp.exp:
+                c, m = _exp_split(node.args[0])
                 exps.setdefault(m, set()).add(c)
-            elif f.func is sp.log:
-                logs.add(f)
+            elif node.func is sp.log:
+                logs.add(node)
             else:
-                other.add(f)
-        if e.has(sp.E):
+                other.add(node)
+        elif node.is_Pow:
+            if node.exp.is_Rational and not node.exp.is_Integer:
+                roots[node.base] = lcm(roots.get(node.base, 1), int(node.exp.q))
+            elif not node.exp.is_Integer:
+                other.add(node)
+        elif node is sp.E:
             exps.setdefault(sp.S.One, set()).add(sp.S.One)
-        for p in e.atoms(sp.Pow):
-            if p.exp.is_Rational and not p.exp.is_Integer:
-                roots[p.base] = lcm(roots.get(p.base, 1), int(p.exp.q))
-            elif not p.exp.is_Integer:
-                other.add(p)
-        other |= e.atoms(sp.NumberSymbol) - {sp.E}
-        if e.has(sp.I):
-            other.add(sp.I)
+        elif node is sp.I or isinstance(node, sp.NumberSymbol):
+            other.add(node)
     key = sp.default_sort_key
     gens = _symbol_order(symbols)
     for u in sorted(trig, key=key):

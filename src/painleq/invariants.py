@@ -1,17 +1,20 @@
 """Pseudoinvariant pipeline for cubic-in-derivative second-order ODEs.
 
-Every quantity is computed from the coefficient quadruple (P, Q, R, S) by the
-fully expanded closed formulas; dual A-branch / B-branch formulas exist for
-N, M, Omega, omega, phi and gamma.  N, M and Omega agree across branches on
-equations satisfying F = 0; Theta (and everything downstream of it) is only
-a well-defined pseudoinvariant on the subclass with N = 0, which is where
-the first theorem uses it.  Weight bookkeeping follows the fixed assignment
-in ``WEIGHTS``.
-
-The formulas are evaluated on elements of the coefficients'
-:class:`~painleq.exprkernel.RationalField`; each stage property returns its
-reduced value as an expression, and :meth:`InvariantPipeline.value` gives
-the field value itself.
+Every quantity is computed from (P, Q, R, S) by the fully expanded closed
+formula of the A branch, which divides by A.  The B branch, which divides by
+B, is the same formula on the x <-> y dual: as x(y), y'' = P + 3Q y' +
+3R y'^2 + S y'^3 has coefficients (-S, -R, -Q, -P), and A, B become -B, -A.
+So a B-branch value is the A-branch formula * on the dual frame (-S, -R, -Q,
+-P, -B, -A, d/dy, d/dx; N kept, Omega negated) times a fixed sign (``_DUAL``):
+B = -A*, G = H*, N = N*, M = M*, Omega = -Omega*, Theta = Theta*, and with
+the components exchanged omega = -omega*, phi = phi*, gamma = -gamma*; for a
+weighted scalar the sign is (-1)**weight.  With A and B both nonzero, N, M,
+Omega and Theta are evaluated on both branches and asserted to agree when
+F = 0; phi, omega and gamma take A unless only B applies.  Theta (and all
+after it) is a pseudoinvariant only where N = 0, which is where the first
+theorem uses it.  The formulas run on elements of the coefficients'
+RationalField; each stage property returns its reduced value as an
+expression, and :meth:`InvariantPipeline.value` gives the field value.
 
 Dependency order: alpha -> F -> N -> phi -> {M, omega} -> Theta -> theta ->
 L -> L1 -> {W, V}; and N, Omega, phi -> gamma -> xi -> Gamma.
@@ -41,7 +44,12 @@ WEIGHTS = {
     "theta": -1, "L": -4, "L1": -5, "W": -6, "V": -3, "xi": 3, "Gamma": 4,
 }
 
-Half = sp.Rational(1, 2)
+# stage -> (partner, sign): its B-branch value is sign times the partner's
+# formula on the dual frame, which reads the stored stage the same way
+_DUAL = {"A": ("B", -1), "B": ("A", -1), "G": ("H", 1), "H": ("G", 1),
+         "N": ("N", 1), "phi": ("phi", 1), "M": ("M", 1),
+         "Omega": ("Omega", -1), "omega": ("omega", -1),
+         "Theta": ("Theta", 1), "gamma": ("gamma", -1)}
 
 
 class BothComponentsZero(ValueError):
@@ -70,9 +78,6 @@ class Pseudo:
             raise ValueError(f"{self.name} is not a scalar")
         return self.components[0]
 
-    def __iter__(self):
-        return iter(self.components)
-
 
 @dataclass(frozen=True)
 class BranchChoice:
@@ -82,9 +87,133 @@ class BranchChoice:
     a_verdict: ZeroVerdict
     b_verdict: ZeroVerdict
 
-    @property
-    def primary(self) -> Literal["A", "B"]:
-        return "B" if self.choice == "B" else "A"
+
+class _Frame:
+    """The equation as the A-branch formulas read it: itself on branch A,
+    its x <-> y dual on B, where each negated value remembers what it
+    negates, so that d(-f) = -d(f) reuses the pipeline's memo of d(f)."""
+
+    def __init__(self, pipe: InvariantPipeline, branch: Literal["A", "B"]):
+        self.pipe, self.branch, self.dual = pipe, branch, branch == "B"
+        x, y = (Y, X) if self.dual else (X, Y)
+        self.dx, self.dy = (lambda f: self._d(f, x)), (lambda f: self._d(f, y))
+        self._negated: dict[int, tuple] = {}  # id(-f) -> (-f, f), kept alive
+
+    def neg(self, f):
+        """-f, remembered; 0 stays the same object, with its memo."""
+        if not f:
+            return f
+        g = -f
+        self._negated[id(g)] = (g, f)
+        return g
+
+    def _d(self, f, var):
+        """d/var of ``f``, once per pipeline; the memo keeps ``f`` alive."""
+        negated = self._negated.get(id(f))
+        f = f if negated is None else negated[1]
+        memo = self.pipe._partials
+        hit = memo.get((id(f), var))
+        if hit is None or hit[0] is not f:
+            hit = memo[id(f), var] = (f, self.pipe.field.diff(f, var))
+        return hit[1] if negated is None else self.neg(hit[1])
+
+    def dxy(self, f):
+        """The mixed derivative, d/dy taken first on either frame."""
+        return self._d(self._d(f, Y), X)
+
+    def seen(self, name: str, v):
+        """The partner's value ``v`` as stage ``name`` of this frame."""
+        if not self.dual:
+            return v
+        sign = self.neg if _DUAL[name][1] < 0 else (lambda f: f)
+        return tuple(map(sign, v[::-1])) if isinstance(v, tuple) else sign(v)
+
+    @cached_property
+    def pqrs(self):
+        if self.dual:
+            return tuple(map(self.neg, self.pipe._frames["A"].pqrs[::-1]))
+        ode = self.pipe.ode
+        return tuple(self.pipe.field(c) for c in (ode.P, ode.Q, ode.R, ode.S))
+
+    def value(self, name: str):
+        """Stored stage ``name`` of this frame (omega on its own branch)."""
+        if name == "omega":
+            return self.seen(name, self.pipe._omega_value(self.branch))
+        return self.seen(name, self.pipe.value(_DUAL[name][0] if self.dual
+                                               else name))
+
+    def view(self):
+        return (*self.pqrs, self.value("A"), self.value("B"), self.dx, self.dy)
+
+    # -- the A-branch formulas ---------------------------------------------
+
+    def A(self):
+        P, Q, R, S = self.pqrs
+        dx, dy = self.dx, self.dy
+        return (dy(dy(P)) - 2 * self.dxy(Q) + dx(dx(R))
+                + 2 * P * dx(S) + S * dx(P) - 3 * P * dy(R) - 3 * R * dy(P)
+                - 3 * Q * dx(R) + 6 * Q * dy(Q))
+
+    def H(self):
+        P, Q, R, _, A, B, dx, dy = self.view()
+        return (-A * dy(A) - 3 * B * dx(A) + 4 * A * dx(B)
+                - 3 * P * B**2 + 6 * Q * A * B - 3 * R * A**2)
+
+    def N(self):
+        return -self.value("H") / (3 * self.value("A"))
+
+    def phi(self):
+        P, Q, R, _, A, B, dx, dy = self.view()
+        phi1 = -sp.Rational(3, 5) * (B * P + dx(A)) / A + sp.Rational(3, 5) * Q
+        phi2 = (sp.Rational(3, 5) * B * (B * P + dx(A)) / A**2
+                - sp.Rational(3, 5) * (dx(B) + dy(A) + 3 * B * Q) / A
+                + sp.Rational(6, 5) * R)
+        return phi1, phi2
+
+    def M(self):
+        P, Q, R, _, A, B, dx, dy = self.view()
+        N = self.value("N")
+        return (-sp.Rational(12, 5) * B * N * (B * P + dx(A)) / A + B * dx(N)
+                + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * dx(B)
+                + sp.Rational(6, 5) * N * dy(A) - A * dy(N)
+                - sp.Rational(12, 5) * A * N * R)
+
+    def Omega(self):
+        P, Q, R, _, A, B, dx, dy = self.view()
+        return (2 * B * dx(A) * (B * P + dx(A)) / A**3
+                - (2 * dx(B) + 3 * B * Q) * dx(A) / A**2
+                + (dy(A) - 2 * dx(B)) * B * P / A**2
+                - (B * dx(dx(A)) + B**2 * dx(P)) / A**2
+                + dx(dx(B)) / A
+                + (3 * dx(B) * Q + 3 * B * dx(Q) - dy(B) * P - B * dy(P)) / A
+                + dy(Q) - 2 * dx(R))
+
+    def omega(self):
+        """omega_1 by its closed formula, and omega_2 = omega_1*B/A."""
+        P, Q, R, _, A, B, dx, dy = self.view()
+        red = self.pipe.field.reduce
+        om1 = red(
+            sp.Rational(12, 5) * P * R / A - sp.Rational(54, 25) * Q**2 / A
+            - dy(P) / A + sp.Rational(6, 5) * dx(Q) / A
+            - (P * dy(A) + B * dx(P) + dx(dx(A))) / (5 * A**2)
+            - sp.Rational(2, 5) * dx(B) * P / A**2
+            + (3 * Q * dx(A) - 12 * P * B * Q) / (25 * A**2)
+            + (6 * B**2 * P**2 + 12 * B * P * dx(A) + 6 * dx(A)**2) / (25 * A**3))
+        return om1, red(om1 * B / A)
+
+    def Theta(self):
+        return self.value("omega")[0] / self.value("A")
+
+    def gamma(self):
+        P, Q, R, _, A, B, dx, dy = self.view()
+        N, Om = self.value("N"), self.value("Omega")
+        g1 = (-sp.Rational(6, 5) * B * N * (B * P + dx(A)) / A**2
+              + sp.Rational(18, 5) * N * B * Q / A
+              + sp.Rational(6, 5) * N * (dx(B) + dy(A)) / A
+              - dy(N) - sp.Rational(12, 5) * N * R - 2 * Om * B)
+        g2 = (-sp.Rational(6, 5) * N * (B * P + dx(A)) / A + dx(N)
+              + sp.Rational(6, 5) * N * Q + 2 * Om * A)
+        return g1, g2
 
 
 class InvariantPipeline:
@@ -106,6 +235,8 @@ class InvariantPipeline:
         self._values: dict[str, object] = {}
         self._omega_cache: dict[str, tuple] = {}
         self._partials: dict[tuple[int, sp.Symbol], tuple] = {}
+        self._frames = {b: _Frame(self, b) for b in ("A", "B")}
+        self._dx, self._dy = self._frames["A"].dx, self._frames["A"].dy
 
     def zero_verdict(self, e) -> ZeroVerdict:
         return is_identically_zero(e, seed=self.seed)
@@ -124,103 +255,17 @@ class InvariantPipeline:
         exprs = tuple(to_expr(v) for v in vals)
         return exprs if len(exprs) > 1 else exprs[0]
 
-    @cached_property
-    def _pqrs(self):
-        ode = self.ode
-        return tuple(self.field(c) for c in (ode.P, ode.Q, ode.R, ode.S))
+    def _on(self, branch: str, name: str):
+        """Stage ``name`` by its A-branch formula on ``branch`` ("both": A)."""
+        fr = self._frames["B" if branch == "B" else "A"]
+        return fr.seen(name, getattr(fr, _DUAL[name][0] if fr.dual else name)())
 
-    def _partial(self, f, var):
-        """d/var of ``f``, computed once per pipeline; the memo keeps ``f``
-        alive, so its id cannot be reused by another value."""
-        hit = self._partials.get((id(f), var))
-        if hit is None or hit[0] is not f:
-            hit = (f, self.field.diff(f, var))
-            self._partials[(id(f), var)] = hit
-        return hit[1]
-
-    def _dx(self, f):
-        return self._partial(f, X)
-
-    def _dy(self, f):
-        return self._partial(f, Y)
-
-    # -- alpha ------------------------------------------------------------
-
-    @cached_property
-    def A(self) -> sp.Expr:
-        P, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return self._out("A",
-            _dy(_dy(P)) - 2 * _dx(_dy(Q)) + _dx(_dx(R))
-            + 2 * P * _dx(S) + S * _dx(P) - 3 * P * _dy(R) - 3 * R * _dy(P)
-            - 3 * Q * _dx(R) + 6 * Q * _dy(Q))
-
-    @cached_property
-    def B(self) -> sp.Expr:
-        P, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return self._out("B",
-            _dx(_dx(S)) - 2 * _dx(_dy(R)) + _dy(_dy(Q))
-            - 2 * S * _dy(P) - P * _dy(S) + 3 * S * _dx(Q) + 3 * Q * _dx(S)
-            + 3 * R * _dy(Q) - 6 * R * _dx(R))
-
-    @cached_property
-    def alpha(self) -> Pseudo:
-        return Pseudo("alpha", WEIGHTS["alpha"], (self.B, -self.A))
-
-    @cached_property
-    def branch(self) -> BranchChoice:
-        a_v = self.zero_verdict(self.value("A"))
-        b_v = self.zero_verdict(self.value("B"))
-        if not a_v.is_zero and not b_v.is_zero:
-            return BranchChoice("both", a_v, b_v)
-        if not a_v.is_zero:
-            return BranchChoice("A", a_v, b_v)
-        if not b_v.is_zero:
-            return BranchChoice("B", a_v, b_v)
-        raise BothComponentsZero("alpha vanishes identically (A = 0 and B = 0)")
-
-    # -- F ----------------------------------------------------------------
-
-    @cached_property
-    def G(self) -> sp.Expr:
-        A, B = self.value("A"), self.value("B")
-        _, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return self._out("G", -B * _dx(B) - 3 * A * _dy(B) + 4 * B * _dy(A)
-                         + 3 * S * A**2 - 6 * R * B * A + 3 * Q * B**2)
-
-    @cached_property
-    def H(self) -> sp.Expr:
-        A, B = self.value("A"), self.value("B")
-        P, Q, R, _ = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return self._out("H", -A * _dy(A) - 3 * B * _dx(A) + 4 * A * _dx(B)
-                         - 3 * P * B**2 + 6 * Q * A * B - 3 * R * A**2)
-
-    @cached_property
-    def F5(self) -> sp.Expr:
-        """3*F^5; the F = 0 test is decided on A*G + B*H without a fifth root."""
-        v = self.value
-        return self._out("F5", (v("A") * v("G") + v("B") * v("H")) / 3)
-
-    @cached_property
-    def f_verdict(self) -> ZeroVerdict:
-        return self.zero_verdict(self.value("F5"))
-
-    # -- N, phi -----------------------------------------------------------
-
-    def _require_branch(self) -> BranchChoice:
-        return self.branch  # raises BothComponentsZero when degenerate
-
-    def _dual(self, name: str, value_a, value_b):
-        """Evaluate dual formulas per branch policy; assert agreement on both."""
-        br = self._require_branch()
-        if br.choice == "A":
-            return value_a()
-        if br.choice == "B":
-            return value_b()
-        va, vb = value_a(), value_b()
+    def _dual(self, name: str):
+        """Stage ``name``; on both branches, asserted to agree if F = 0."""
+        br = self.branch  # raises BothComponentsZero when degenerate
+        if br.choice != "both":
+            return self._on(br.choice, name)
+        va, vb = self._on("A", name), self._on("B", name)
         if self.f_verdict.is_zero:
             diff = self.zero_verdict(va - vb)
             if diff.is_nonzero:
@@ -232,126 +277,79 @@ class InvariantPipeline:
                     f"({diff.note})")
         return va
 
+    # -- alpha ------------------------------------------------------------
+
+    @cached_property
+    def A(self) -> sp.Expr:
+        return self._out("A", self._on("A", "A"))
+
+    @cached_property
+    def B(self) -> sp.Expr:
+        return self._out("B", self._on("B", "B"))
+
+    @cached_property
+    def branch(self) -> BranchChoice:
+        a_v = self.zero_verdict(self.value("A"))
+        b_v = self.zero_verdict(self.value("B"))
+        if a_v.is_zero and b_v.is_zero:
+            raise BothComponentsZero("alpha vanishes identically (A = 0 and B = 0)")
+        return BranchChoice("B" if a_v.is_zero else "A" if b_v.is_zero else "both",
+                            a_v, b_v)
+
+    # -- F ----------------------------------------------------------------
+
+    @cached_property
+    def G(self) -> sp.Expr:
+        return self._out("G", self._on("B", "G"))
+
+    @cached_property
+    def H(self) -> sp.Expr:
+        return self._out("H", self._on("A", "H"))
+
+    @cached_property
+    def F5(self) -> sp.Expr:
+        """3*F^5; the F = 0 test is decided on A*G + B*H without a fifth root."""
+        v = self.value
+        return self._out("F5", (v("A") * v("G") + v("B") * v("H")) / 3)
+
+    @cached_property
+    def f_verdict(self) -> ZeroVerdict:
+        return self.zero_verdict(self.value("F5"))
+
+    # -- N, phi, M, Omega -------------------------------------------------
+
     @cached_property
     def N(self) -> sp.Expr:
-        v = self.value
-        return self._out("N", self._dual("N",
-                                         lambda: -v("H") / (3 * v("A")),
-                                         lambda: v("G") / (3 * v("B"))))
+        return self._out("N", self._dual("N"))
 
     @cached_property
     def phi(self) -> tuple[sp.Expr, sp.Expr]:
-        A, B = self.value("A"), self.value("B")
-        P, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        br = self._require_branch()
-        if br.primary == "A":
-            phi1 = -sp.Rational(3, 5) * (B * P + _dx(A)) / A + sp.Rational(3, 5) * Q
-            phi2 = (sp.Rational(3, 5) * B * (B * P + _dx(A)) / A**2
-                    - sp.Rational(3, 5) * (_dx(B) + _dy(A) + 3 * B * Q) / A
-                    + sp.Rational(6, 5) * R)
-        else:
-            phi1 = (-sp.Rational(3, 5) * A * (A * S - _dy(B)) / B**2
-                    - sp.Rational(3, 5) * (_dy(A) + _dx(B) - 3 * A * R) / B
-                    - sp.Rational(6, 5) * Q)
-            phi2 = sp.Rational(3, 5) * (A * S - _dy(B)) / B - sp.Rational(3, 5) * R
-        return self._out("phi", phi1, phi2)
+        return self._out("phi", *self._on(self.branch.choice, "phi"))
 
     @cached_property
     def M(self) -> sp.Expr:
-        return self._out("M", self._dual("M", self._M_a, self._M_b))
-
-    def _M_a(self):
-        A, B, N = self.value("A"), self.value("B"), self.value("N")
-        P, Q, R, _ = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return (-sp.Rational(12, 5) * B * N * (B * P + _dx(A)) / A + B * _dx(N)
-                + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * _dx(B)
-                + sp.Rational(6, 5) * N * _dy(A) - A * _dy(N)
-                - sp.Rational(12, 5) * A * N * R)
-
-    def _M_b(self):
-        A, B, N = self.value("A"), self.value("B"), self.value("N")
-        _, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return (-sp.Rational(12, 5) * A * N * (A * S - _dy(B)) / B - A * _dy(N)
-                + sp.Rational(24, 5) * A * N * R - sp.Rational(6, 5) * N * _dy(A)
-                - sp.Rational(6, 5) * N * _dx(B) + B * _dx(N)
-                - sp.Rational(12, 5) * B * N * Q)
+        return self._out("M", self._dual("M"))
 
     @cached_property
     def Omega(self) -> sp.Expr:
-        return self._out("Omega", self._dual("Omega", self._Omega_a, self._Omega_b))
-
-    def _Omega_a(self):
-        A, B = self.value("A"), self.value("B")
-        P, Q, R, _ = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        return (2 * B * _dx(A) * (B * P + _dx(A)) / A**3
-                - (2 * _dx(B) + 3 * B * Q) * _dx(A) / A**2
-                + (_dy(A) - 2 * _dx(B)) * B * P / A**2
-                - (B * _dx(_dx(A)) + B**2 * _dx(P)) / A**2
-                + _dx(_dx(B)) / A
-                + (3 * _dx(B) * Q + 3 * B * _dx(Q) - _dy(B) * P - B * _dy(P)) / A
-                + _dy(Q) - 2 * _dx(R))
-
-    def _Omega_b(self):
-        A, B = self.value("A"), self.value("B")
-        _, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        # The sign of the second term is fixed relative to the source display;
-        # as printed it breaks the x <-> y duality with the A-branch formula
-        # and gives a nonzero Omega on pullbacks of Painleve I with Q != 0.
-        return (2 * A * _dy(B) * (A * S - _dy(B)) / B**3
-                + (2 * _dy(A) - 3 * A * R) * _dy(B) / B**2
-                + (_dx(B) - 2 * _dy(A)) * A * S / B**2
-                + (A * _dy(_dy(B)) - A**2 * _dy(S)) / B**2
-                - _dy(_dy(A)) / B
-                + (3 * _dy(A) * R + 3 * A * _dy(R) - _dx(A) * S - A * _dx(S)) / B
-                + _dx(R) - 2 * _dy(Q))
+        return self._out("Omega", self._dual("Omega"))
 
     # -- omega, Theta, theta ----------------------------------------------
 
     @cached_property
     def omega(self) -> tuple[sp.Expr, sp.Expr]:
-        which = self._require_branch().primary
-        pair = self._omega_pair(which)
-        self._values["omega"] = self._omega_cache[which][0]
-        return pair
+        which = "B" if self.branch.choice == "B" else "A"
+        self._values["omega"] = self._omega_value(which)
+        return self._omega_cache[which][1]
 
     def _omega_pair(self, which: str) -> tuple[sp.Expr, sp.Expr]:
-        """The covector omega on the given branch.
-
-        Only the component paired with the branch (omega_1 on A, omega_2 on
-        B) has a closed formula; the other component follows from the
-        defining relation omega_1/A = omega_2/B.  The closed cross-component
-        displays in the source fail that relation and are not used.
-        """
-        if which in self._omega_cache:
-            return self._omega_cache[which][1]
-        A, B = self.value("A"), self.value("B")
-        P, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        red = self.field.reduce
-        if which == "A":
-            om1 = red(
-                sp.Rational(12, 5) * P * R / A - sp.Rational(54, 25) * Q**2 / A
-                - _dy(P) / A + sp.Rational(6, 5) * _dx(Q) / A
-                - (P * _dy(A) + B * _dx(P) + _dx(_dx(A))) / (5 * A**2)
-                - sp.Rational(2, 5) * _dx(B) * P / A**2
-                + (3 * Q * _dx(A) - 12 * P * B * Q) / (25 * A**2)
-                + (6 * B**2 * P**2 + 12 * B * P * _dx(A) + 6 * _dx(A)**2) / (25 * A**3))
-            pair = (om1, red(om1 * B / A))
-        else:
-            om2 = red(
-                sp.Rational(12, 5) * S * Q / B - sp.Rational(54, 25) * R**2 / B
-                + _dx(S) / B - sp.Rational(6, 5) * _dy(R) / B
-                + (S * _dx(B) + A * _dy(S) - _dy(_dy(B))) / (5 * B**2)
-                + sp.Rational(2, 5) * _dy(A) * S / B**2
-                - (3 * R * _dy(B) + 12 * S * A * R) / (25 * B**2)
-                + (6 * A**2 * S**2 - 12 * _dy(B) * A * S + 6 * _dy(B)**2) / (25 * B**3))
-            pair = (red(om2 * A / B), om2)
-        self._omega_cache[which] = (pair, tuple(to_expr(v) for v in pair))
+        """The covector omega on the given branch.  Only the component
+        paired with the branch has a closed formula; the other follows from
+        omega_1/A = omega_2/B, which the source's closed cross-component
+        displays fail."""
+        if which not in self._omega_cache:
+            pair = self._on(which, "omega")
+            self._omega_cache[which] = (pair, tuple(to_expr(v) for v in pair))
         return self._omega_cache[which][1]
 
     def _omega_value(self, which: str):
@@ -360,11 +358,7 @@ class InvariantPipeline:
 
     @cached_property
     def Theta(self) -> sp.Expr:
-        v = self.value
-        return self._out("Theta", self._dual(
-            "Theta",
-            lambda: self._omega_value("A")[0] / v("A"),
-            lambda: self._omega_value("B")[1] / v("B")))
+        return self._out("Theta", self._dual("Theta"))
 
     @cached_property
     def theta(self) -> tuple[sp.Expr, sp.Expr]:
@@ -377,7 +371,7 @@ class InvariantPipeline:
 
     @cached_property
     def L(self) -> sp.Expr:
-        P, Q, R, S = self._pqrs
+        P, Q, R, S = self._frames["A"].pqrs
         t1, t2 = self.value("theta")
         Th = self.value("Theta")
         _dx, _dy = self._dx, self._dy
@@ -387,7 +381,7 @@ class InvariantPipeline:
         return self._out("L",
             t1 * t2 * (_dy(t2) - _dx(t1)) - t2**2 * _dy(t1) + t1**2 * _dx(t2)
             - P * t1**3 - 3 * Q * t1**2 * t2 - 3 * R * t1 * t2**2 - S * t2**3
-            - Half * Th**2)
+            - Th**2 / 2)
 
     @cached_property
     def L1(self) -> sp.Expr:
@@ -416,26 +410,7 @@ class InvariantPipeline:
 
     @cached_property
     def gamma(self) -> tuple[sp.Expr, sp.Expr]:
-        v = self.value
-        A, B, N, Om = v("A"), v("B"), v("N"), v("Omega")
-        P, Q, R, S = self._pqrs
-        _dx, _dy = self._dx, self._dy
-        br = self._require_branch()
-        if br.primary == "A":
-            g1 = (-sp.Rational(6, 5) * B * N * (B * P + _dx(A)) / A**2
-                  + sp.Rational(18, 5) * N * B * Q / A
-                  + sp.Rational(6, 5) * N * (_dx(B) + _dy(A)) / A
-                  - _dy(N) - sp.Rational(12, 5) * N * R - 2 * Om * B)
-            g2 = (-sp.Rational(6, 5) * N * (B * P + _dx(A)) / A + _dx(N)
-                  + sp.Rational(6, 5) * N * Q + 2 * Om * A)
-        else:
-            g1 = (-sp.Rational(6, 5) * N * (A * S - _dy(B)) / B - _dy(N)
-                  + sp.Rational(6, 5) * N * R - 2 * Om * B)
-            g2 = (-sp.Rational(6, 5) * A * N * (A * S - _dy(B)) / B**2
-                  + sp.Rational(18, 5) * N * A * R / B
-                  - sp.Rational(6, 5) * N * (_dy(A) + _dx(B)) / B + _dx(N)
-                  - sp.Rational(12, 5) * N * Q + 2 * Om * A)
-        return self._out("gamma", g1, g2)
+        return self._out("gamma", *self._on(self.branch.choice, "gamma"))
 
     @cached_property
     def xi(self) -> tuple[sp.Expr, sp.Expr]:
@@ -451,7 +426,7 @@ class InvariantPipeline:
     def Gamma(self) -> sp.Expr:
         if self.m_verdict.is_zero:
             raise GammaUndefined("M vanishes identically; Gamma divides by M")
-        P, Q, R, S = self._pqrs
+        P, Q, R, S = self._frames["A"].pqrs
         g1, g2 = self.value("gamma")
         _dx, _dy = self._dx, self._dy
         return self._out("Gamma",
@@ -459,12 +434,7 @@ class InvariantPipeline:
              + P * g1**3 + 3 * Q * g1**2 * g2 + 3 * R * g1 * g2**2 + S * g2**3)
             / self.value("M"))
 
-    # -- pseudo wrappers ---------------------------------------------------
-
     def pseudo(self, name: str) -> Pseudo:
-        vectors = {"alpha": lambda: (self.B, -self.A), "theta": lambda: self.theta,
-                   "xi": lambda: self.xi, "omega": lambda: self.omega}
-        if name in vectors:
-            return Pseudo(name, WEIGHTS[name], tuple(vectors[name]()))
-        return Pseudo(name, WEIGHTS[name], (getattr(self, name),))
-
+        value = (self.B, -self.A) if name == "alpha" else getattr(self, name)
+        return Pseudo(name, WEIGHTS[name],
+                      value if isinstance(value, tuple) else (value,))

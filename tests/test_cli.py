@@ -178,6 +178,8 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "6*y^2+x", "--p2zam-as-printed"],
     ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
      "--x-new", "x", "--y-new", "y", "--p2zam-as-printed"],
+    ["pullback", "--rhs", "6*y^2+x", "--x-new", "x+y^2", "--y-new", "y",
+     "--seed", "5"],                                  # seeds nothing
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)

@@ -8,7 +8,8 @@ import sympy as sp
 from painleq import canonical as cn
 from painleq.exprkernel import X, Y, is_identically_zero, normalize
 from painleq.invariants import (WEIGHTS, BothComponentsZero,
-                                BranchDisagreement, InvariantPipeline)
+                                BranchDisagreement, GammaUndefined,
+                                InvariantPipeline)
 from painleq.parsing import OdeCubic
 from painleq.transform import PointMap, pullback_ode
 
@@ -168,3 +169,40 @@ def test_pseudo_wrapper_shapes():
     assert n.weight == 2 and zero(n.expr - 4)
     with pytest.raises(ValueError):
         pipe.pseudo("alpha").expr
+
+
+STAGES = ("A", "B", "G", "H", "F5", "N", "phi", "M", "Omega", "omega",
+          "Theta", "theta", "L", "L1", "W", "V", "gamma", "xi", "Gamma")
+# stage of the swapped equation -> (stage of the equation, sign); every other
+# stage is its own partner with sign (-1)**weight
+SWAPPED_FROM = {"A": ("B", -1), "B": ("A", -1), "G": ("H", 1), "H": ("G", 1),
+                "F5": ("F5", -1), "phi": ("phi", 1), "gamma": ("gamma", -1)}
+A_ONLY = {
+    "painleve1": OdeCubic(6 * Y**2 + X, *(sp.Integer(0),) * 3),  # Omega = 0
+    "y3_xy": OdeCubic(Y**3 + X, X * Y, sp.Integer(0), sp.Integer(0)),
+}
+
+
+@pytest.mark.parametrize("ode", A_ONLY.values(), ids=A_ONLY)
+def test_b_branch_is_the_swapped_a_branch(ode):
+    """B = 0 here, so the pullback by (x, y) -> (y, x) takes the B branch
+    alone; each of its stages is the swapped stage of the equation times its
+    sign, with a pair's components exchanged."""
+    pipe = InvariantPipeline(ode)
+    star = InvariantPipeline(pullback_ode(ode, PointMap(Y, X)))
+    assert pipe.branch.choice == "A" and star.branch.choice == "B"
+    swap = {X: Y, Y: X}
+    for name in STAGES:
+        partner, sign = SWAPPED_FROM.get(name) or (name, (-1) ** WEIGHTS[name])
+        try:
+            want = getattr(pipe, partner)
+        except GammaUndefined:
+            with pytest.raises(GammaUndefined):
+                getattr(star, name)
+            continue
+        got = getattr(star, name)
+        want = want[::-1] if isinstance(want, tuple) else (want,)
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert zero(g - sign * sp.sympify(w).subs(swap, simultaneous=True)), name
