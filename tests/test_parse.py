@@ -2,7 +2,7 @@
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from painleq.exprkernel import P, X, Y, normalize
@@ -112,6 +112,13 @@ def test_extract_rejects_derivative_under_a_root():
         extract_cubic_coefficients(parse_expression("x*p^(1/2)"))
 
 
+def test_extract_rejects_undefined_right_hand_side():
+    # the case the random right-hand sides leave out: a zero denominator
+    with pytest.raises(NotCubicInDerivative,
+                       match=r"^right-hand side is undefined$"):
+        extract_cubic_coefficients(P / sp.Integer(0))
+
+
 def test_extract_accepts_derivative_in_a_vanishing_atom():
     ode = extract_cubic_coefficients(parse_expression("(sin(p)^2+cos(p)^2)*y"))
     assert (ode.P, ode.Q, ode.R, ode.S) == (Y, 0, 0, 0)
@@ -155,6 +162,8 @@ def cubic_rhs(draw):
     rhs = sum(coefficient() * P**k for k in range(degree + 1))
     den = draw(st.sampled_from([1, 6, X - A, 2 * A - X**2 + 1, X * Y + 1,
                                 coefficient() + 7]))
+    # coefficient() + 7 vanishes when its terms sum to -7; rhs/0 is undefined
+    assume(normalize(den) != 0)
     return rhs / den
 
 
