@@ -7,7 +7,8 @@ three-theorem classification on each, printing the verdicts and the weight-0
 invariants that drive them.
 """
 
-from painleq import canonical, classify
+from painleq import canonical
+from painleq.classify import classify
 from painleq.parsing import to_grammar
 
 CORPUS = [

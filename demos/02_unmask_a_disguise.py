@@ -10,7 +10,8 @@ I1 = L1^4/L^5 and I2 = Theta^2/L.
 
 import sympy as sp
 
-from painleq import canonical, classify
+from painleq import canonical
+from painleq.classify import classify
 from painleq.exprkernel import X, Y
 from painleq.parsing import to_grammar
 from painleq.transform import PointMap, map_painleve1, pullback_ode

@@ -11,7 +11,8 @@ subtlety in the Kamke 6.9 family where J^2 comes out negative.
 
 import sympy as sp
 
-from painleq import canonical, classify
+from painleq import canonical
+from painleq.classify import classify
 from painleq.exprkernel import X, Y
 from painleq.parsing import to_grammar
 from painleq.transform import PointMap, map_painleve2, pullback_ode

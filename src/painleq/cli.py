@@ -13,8 +13,9 @@ cubic in the symbol p = y') or as the four coefficients ``--P --Q3 --R3 --S``
 where Q3 and R3 are the raw y' and y'^2 coefficients; the tool divides them
 by 3 to match the stored convention and echoes the stored values.  Exit
 codes: 0 definitive classification or successful verification, 2 not
-equivalent (or failed verification), 3 indeterminate, 1 usage or parse
-errors (a map with zero Jacobian included).
+equivalent (every theorem fails, or failed verification), 3 indeterminate
+(no theorem passes, and one is undecided or has a negative J^2), 1 usage
+or parse errors (a map with zero Jacobian included).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import sys
 
 import sympy as sp
 
-from .classify import (Classification, InvariantReport, SqrtOfNonPositive,
-                       classify)
+from .classify import Classification, InvariantReport, classify
 # normalize stays a module global: perfbench/tracing.py replaces it here by
 # module attribute
 from .exprkernel import (DEFAULT_SEED, MIN_PRECISION, X, Y,
@@ -163,48 +163,33 @@ def _numeric_options(args) -> None:
                          f"digits, got {args.precision}")
 
 
-def _load_ode(args) -> OdeCubic:
-    """The input equation; a usage error when it is undefined, also when
-    only reducing it shows that (a denominator that reduces to 0)."""
-    ode = _read_ode(args)
-    for name in ("P", "Q", "R", "S"):
-        _finite(getattr(ode, name), f"the coefficient {name} of the input")
-    return ode
-
-
-def _read_ode(args) -> OdeCubic:
-    coeffs = (args.coef_P, args.coef_Q3, args.coef_R3, args.coef_S)
-    if (args.rhs is None) == all(c is None for c in coeffs):
-        raise UsageError("provide exactly one input source: --rhs, or the "
-                         "coefficient flags --P/--Q3/--R3/--S")
-    subs = _bindings(args.param)
-    if args.rhs is not None:
-        rhs = _finite(_parse(args.rhs, "--rhs").subs(subs, simultaneous=True),
-                      "--rhs")
-        try:
-            return extract_cubic_coefficients(rhs)
-        except NotCubicInDerivative as exc:
-            raise UsageError(f"--rhs is not cubic in the derivative: {exc}") from None
-    parts = []
-    for flag, text in zip(("--P", "--Q3", "--R3", "--S"), coeffs):
-        e = sp.Integer(0) if text is None else _parse(text, flag)
-        parts.append(normalize(_finite(e.subs(subs, simultaneous=True), flag)))
-    try:
-        return OdeCubic(P=parts[0], Q=normalize(parts[1] / 3),
-                        R=normalize(parts[2] / 3), S=parts[3])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _bound(text: str, flag: str, subs: dict) -> sp.Expr:
     """The expression of ``flag`` with the --param bindings ``subs``
     applied; a usage error when it is undefined."""
     return _finite(_parse(text, flag).subs(subs, simultaneous=True), flag)
 
 
-def _map_input(args, subs: dict) -> tuple[sp.Expr, sp.Expr]:
-    return (_bound(args.x_new, "--x-new", subs),
-            _bound(args.y_new, "--y-new", subs))
+def _load_ode(args) -> OdeCubic:
+    """The input equation; a usage error when it is undefined, also when
+    only reducing it shows that (a denominator that reduces to 0)."""
+    flags = {"--P": args.coef_P, "--Q3": args.coef_Q3, "--R3": args.coef_R3,
+             "--S": args.coef_S}
+    if (args.rhs is None) == all(c is None for c in flags.values()):
+        raise UsageError("provide exactly one input source: --rhs, or the "
+                         "coefficient flags --P/--Q3/--R3/--S")
+    subs = _bindings(args.param)
+    if args.rhs is not None:
+        try:
+            return extract_cubic_coefficients(_bound(args.rhs, "--rhs", subs))
+        except NotCubicInDerivative as exc:
+            raise UsageError(f"--rhs: {exc}") from None
+    P, Q3, R3, S = (sp.Integer(0) if text is None else
+                    _finite(normalize(_bound(text, flag, subs)), flag)
+                    for flag, text in flags.items())
+    try:
+        return OdeCubic(P=P, Q=normalize(Q3 / 3), R=normalize(R3 / 3), S=S)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _expr_str(e) -> str | None:
@@ -265,22 +250,13 @@ def _classification_exit(cls: Classification) -> int:
     return EXIT_INDETERMINATE if cls.kind == "indeterminate" else EXIT_NOT_EQUIVALENT
 
 
-def _passing_report(cls: Classification) -> InvariantReport | None:
-    if cls.equivalent:
-        return cls.reports[cls.kind]
-    return None
-
-
 def _gather_invariants(cls: Classification) -> tuple[dict, list[str]]:
-    rep = _passing_report(cls)
+    """The passing report's invariants, and every report's warnings and the
+    diagnostics, each once."""
     warnings = list(dict.fromkeys(
         [w for r in cls.reports.values() for w in r.warnings]
         + list(cls.diagnostics)))
-    inv = {}
-    if rep is not None:
-        inv.update(rep.invariants)
-        if cls.J is not None:
-            inv["J"] = cls.J
+    inv = dict(cls.reports[cls.kind].invariants) if cls.equivalent else {}
     return inv, warnings
 
 
@@ -358,7 +334,8 @@ def _cmd_verify(args, out) -> int:
     ode = _load_ode(args)
     subs = _bindings(args.param)
     j = None if args.J is None else _bound(args.J, "--J", subs)
-    pmap = PointMap(*_map_input(args, subs), branch="user", J=j)
+    pmap = PointMap(_bound(args.x_new, "--x-new", subs),
+                    _bound(args.y_new, "--y-new", subs), branch="user", J=j)
     if is_identically_zero(pmap.jacobian(), seed=args.seed).is_zero:
         raise UsageError(f"map ({pmap.x_new}, {pmap.y_new}) has zero Jacobian")
     try:
@@ -377,7 +354,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_pullback(args, out) -> int:
     target = _load_ode(args)
-    pmap = PointMap(*_map_input(args, _bindings(args.param)))
+    subs = _bindings(args.param)
+    pmap = PointMap(_bound(args.x_new, "--x-new", subs),
+                    _bound(args.y_new, "--y-new", subs))
     try:
         ode = pullback_ode(target, pmap)
     except (DegenerateMap, NotCubicInDerivative) as exc:
@@ -411,9 +390,6 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SqrtOfNonPositive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
 
 
 def main() -> None:

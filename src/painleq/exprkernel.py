@@ -47,7 +47,7 @@ __all__ = [
     "X", "Y", "P",
     "ZeroVerdict", "PoleAtPoint", "EvenRootOfNegative",
     "RationalField", "field_for",
-    "differentiate", "normalize", "to_expr", "root_up_to_sign",
+    "normalize", "to_expr", "root_up_to_sign",
     "is_identically_zero",
     "evaluate_numeric", "compile_numeric", "numeric_point",
     "random_rational", "sample_point",
@@ -105,14 +105,6 @@ class ZeroVerdict:
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
         raise TypeError("ZeroVerdict is tri-state; test .is_zero / .is_nonzero")
-
-
-def differentiate(e: sp.Expr, var: str | sp.Symbol) -> sp.Expr:
-    """Partial derivative with respect to ``x`` or ``y``; parameters are constants."""
-    s = sp.Symbol(var) if isinstance(var, str) else var
-    if s not in (X, Y):
-        raise ValueError(f"can only differentiate in x or y, got {s}")
-    return sp.diff(sp.sympify(e), s)
 
 
 # -- the rational-function field ---------------------------------------------

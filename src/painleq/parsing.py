@@ -253,7 +253,8 @@ def extract_cubic_coefficients(rhs: sp.Expr) -> OdeCubic:
 
     Returns P = coeff(p^0), Q = coeff(p^1)/3, R = coeff(p^2)/3, S = coeff(p^3),
     each normalized.  Raises NotCubicInDerivative when the degree in p exceeds
-    3, when p occurs in a denominator, or when p sits inside an atom.
+    3, when p occurs in a denominator, when p sits inside an atom, or when
+    the right-hand side is undefined, also when only reducing it shows that.
 
     The right-hand side is normalized once; its reduced numerator is split
     by degree in p inside its field, and each part is divided by the
@@ -267,9 +268,7 @@ def extract_cubic_coefficients(rhs: sp.Expr) -> OdeCubic:
             raise NotCubicInDerivative(f"derivative inside transcendental atom {atom}")
     if rhs.has(*_NONFINITE):
         # normalize leaves undefined input as it is, and no field holds it
-        if rhs.has(P):
-            raise NotCubicInDerivative("right-hand side is undefined")
-        return OdeCubic(P=rhs, Q=sp.S.Zero, R=sp.S.Zero, S=sp.S.Zero)
+        raise NotCubicInDerivative("right-hand side is undefined")
     field = field_for(rhs)
     f = field(rhs)
     num, den = f.numer, f.denom

@@ -63,7 +63,6 @@ class PointMap:
     J: Optional[sp.Expr] = None  # Painleve II parameter carried by the branch
     verified: Optional[bool] = None
     max_residual: Optional[float] = None
-    sample_box: str = "x, y in [1, 2], y' in [-1, 1]"
 
     def jacobian(self) -> FracElement:
         """The Jacobian determinant, reduced in the map's RationalField."""

@@ -4,9 +4,10 @@ import pytest
 import sympy as sp
 
 from painleq import canonical as cn
-from painleq.classify import (check_painleve1, check_painleve2,
+from painleq.classify import (ConditionCheck, InvariantReport,
+                              check_painleve1, check_painleve2,
                               check_painleve3zero, classify)
-from painleq.exprkernel import X, Y, normalize, root_up_to_sign
+from painleq.exprkernel import X, Y, ZeroVerdict, normalize, root_up_to_sign
 from painleq.parsing import OdeCubic
 
 ZERO = sp.Integer(0)
@@ -100,6 +101,22 @@ def test_condition_gating_blocks_theta_chain():
     labels = [c.label for c in rep.conditions]
     assert not any("condition 4" in lab for lab in labels)
     assert any("not evaluated" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("holds, passed", [
+    ((True, True), True),
+    ((True, None), None),
+    ((True, None, False), False),
+    ((None, False, True), False),
+    ((), True),
+])
+def test_passed_is_a_three_valued_and(holds, passed):
+    """A failed condition decides the theorem even next to an undecided one."""
+    status = {True: "zero", False: "nonzero", None: "unknown"}
+    rep = InvariantReport("painleve1", cn.painleve1(), conditions=[
+        ConditionCheck(f"condition {i}", "", ZeroVerdict(status[h]), h)
+        for i, h in enumerate(holds, start=1)])
+    assert rep.passed is passed
 
 
 def test_report_condition_lookup():

@@ -56,6 +56,25 @@ def test_classify_indeterminate_kamke():
     assert any("J^2" in w for w in doc["warnings"])
 
 
+@pytest.mark.parametrize("rhs, undecided", [
+    ("2*y^3 + x*y + 1 + (sin(2*y) - 2*sin(y)*cos(y))*p^2",
+     "Theorem 2 condition 4"),
+    ("2*y^3 + x*y + 1 + sin(2*x) - 2*sin(x)*cos(x)", "Theorem 2 condition 6"),
+])
+def test_undecided_theorem_is_indeterminate(rhs, undecided):
+    """Painleve II plus a term that vanishes identically, but in atoms the
+    zero tester cannot reduce: Theorems 1 and 3 fail, and one condition of
+    Theorem 2 stays unknown, so the answer is undecided, not NotEquivalent,
+    and J^2 is never taken from samples."""
+    code, doc = run_json(["classify", "--rhs", rhs])
+    assert code == 3
+    assert doc["class"] == "Indeterminate"
+    named = [w for w in doc["warnings"] if "is undecided" in w]
+    assert len(named) == 1 and named[0].startswith(undecided)
+    assert not any("not constant" in w or "numerically" in w
+                   for w in doc["warnings"])
+
+
 def test_json_schema_keys_and_condition_entries():
     _, doc = run_json(["classify", "--rhs", "6*y^2 + x"])
     assert set(doc) == {"class", "conditions", "invariants", "map", "warnings"}

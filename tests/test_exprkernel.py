@@ -16,7 +16,7 @@ from sympy.polys.orderings import lex
 
 from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
                                 X, Y, RationalField,
-                                compile_numeric, differentiate,
+                                compile_numeric,
                                 evaluate_numeric, field_for,
                                 is_identically_zero, normalize, numeric_point,
                                 random_rational, root_up_to_sign,
@@ -119,13 +119,7 @@ def test_one_sign_rule_for_every_fraction(den):
 @given(rational_exprs(), rational_exprs())
 def test_mixed_partials_commute(e, f):
     g = e + f * Y
-    assert normalize(differentiate(differentiate(g, X), Y)
-                     - differentiate(differentiate(g, Y), X)) == 0
-
-
-def test_differentiate_rejects_parameters():
-    with pytest.raises(ValueError):
-        differentiate(X, sp.Symbol("a"))
+    assert normalize(sp.diff(g, X, Y) - sp.diff(g, Y, X)) == 0
 
 
 def test_zero_verdict_tristate():

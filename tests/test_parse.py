@@ -113,10 +113,16 @@ def test_extract_rejects_derivative_under_a_root():
 
 
 def test_extract_rejects_undefined_right_hand_side():
-    # the case the random right-hand sides leave out: a zero denominator
-    with pytest.raises(NotCubicInDerivative,
-                       match=r"^right-hand side is undefined$"):
-        extract_cubic_coefficients(P / sp.Integer(0))
+    zero = sp.sin(Y)**2 + sp.cos(Y)**2 - 1
+    for rhs in (P / sp.Integer(0),  # the random right-hand sides leave it out
+                sp.zoo * P**2 + X,
+                sp.zoo,             # undefined and free of p
+                sp.nan,
+                1 / zero,           # undefined only once reduced
+                Y + P / zero):
+        with pytest.raises(NotCubicInDerivative,
+                           match=r"^right-hand side is undefined$"):
+            extract_cubic_coefficients(rhs)
 
 
 def test_extract_accepts_derivative_in_a_vanishing_atom():
