@@ -193,7 +193,7 @@ def _load_ode(args) -> OdeCubic:
 
 
 def _expr_str(e) -> str | None:
-    if e is None or e is sp.nan:
+    if e is None:
         return None
     return to_grammar(e)
 
@@ -276,7 +276,7 @@ def _cmd_invariants(args, out) -> int:
     pseudo = {}
     names = ["alpha", "N", "Omega", "M", "xi", "Gamma"]
     try:
-        if pipe.zero_verdict(pipe.N).is_zero:
+        if pipe.verdict("N").is_zero:
             names[3:] = ["Theta", "theta", "L", "L1", "W", "V"]
         else:
             warnings.append("Theta, theta, L, L1, W, V omitted: they are "

@@ -50,7 +50,7 @@ __all__ = [
     "normalize", "to_expr", "root_up_to_sign",
     "is_identically_zero",
     "evaluate_numeric", "compile_numeric", "numeric_point",
-    "random_rational", "sample_point",
+    "random_rational",
     "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "MIN_PRECISION",
     "ZERO_THRESHOLD",
 ]
@@ -767,38 +767,36 @@ def random_rational(rng: random.Random, lo: int = 1, hi: int = 2,
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def sample_point(e: sp.Expr, rng: random.Random) -> dict[sp.Symbol, sp.Rational]:
-    """Random rational assignment in [1, 2] for every free symbol of ``e``."""
-    return {s: sp.Rational(random_rational(rng)) for s in sorted(e.free_symbols, key=str)}
-
-
 def is_identically_zero(e: sp.Expr | FracElement,
                         seed: int = DEFAULT_SEED) -> ZeroVerdict:
     """Sound identical-vanishing test.
 
     ``e`` is an expression or an element of a :class:`RationalField`.  The
-    reduced numerator decides whenever it can: 0 is zero, and a nonzero
-    numerator without atoms is nonzero.  A nonzero numerator holding atoms is
-    evaluated at ``SAMPLE_COUNT`` random non-singular rational points, which
+    numerator reduced modulo the field's relations decides whenever it can:
+    0 is zero, and a nonzero numerator without atoms is nonzero.  A field
+    element n/d is zero exactly when n is, so only its numerator is reduced,
+    and no gcd is taken.  A nonzero numerator holding atoms is evaluated at
+    ``SAMPLE_COUNT`` random non-singular rational points in [1, 2], which
     distinguishes NonZero from Unknown.
     """
     if isinstance(e, FracElement):
         field = _field_on(e.field.symbols)
-        f = field.reduce(e)
+        num = field._reduce_poly(e.numer) if field._relations else e.numer
     else:
         e = sp.sympify(e)
         if e.has(*_NONFINITE):
             return ZeroVerdict("unknown", "expression is undefined")
         field = field_for(e)
         try:
-            f = field(e)
+            num = field(e).numer
         except ZeroDivisionError:
             return ZeroVerdict("unknown", "denominator vanishes identically")
-    if not f.numer:
+    if not num:
         return ZeroVerdict("zero", "canonical form vanishes")
-    if field.is_exact(f.numer):
+    if field.is_exact(num):
         return ZeroVerdict("nonzero", "canonical form is a nonzero rational function")
-    num = to_expr(f.numer)
+    num = to_expr(num)
+    symbols = sorted(num.free_symbols, key=str)
     run = compile_numeric(num, SAMPLE_PRECISION)
     tol = mpmath.mpf(ZERO_THRESHOLD.numerator) / mpmath.mpf(ZERO_THRESHOLD.denominator)
     rng = random.Random(seed)
@@ -806,7 +804,7 @@ def is_identically_zero(e: sp.Expr | FracElement,
     for _ in range(SAMPLE_COUNT * 4):
         if tested >= SAMPLE_COUNT:
             break
-        point = sample_point(num, rng)
+        point = {s: sp.Rational(random_rational(rng)) for s in symbols}
         scale = [mpmath.mpf(0)]
         try:
             with mpmath.workdps(SAMPLE_PRECISION):

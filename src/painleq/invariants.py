@@ -16,6 +16,10 @@ theorem uses it.  The formulas run on elements of the coefficients'
 RationalField; each stage property returns its reduced value as an
 expression, and :meth:`InvariantPipeline.value` gives the field value.
 
+The weight-0 invariants that the theorems read are formulas of the stages
+in ``INVARIANTS``, and :meth:`InvariantPipeline.verdict` zero-tests a named
+value, each once per pipeline however many theorems read it.
+
 Dependency order: alpha -> F -> N -> phi -> {M, omega} -> Theta -> theta ->
 L -> L1 -> {W, V}; and N, Omega, phi -> gamma -> xi -> Gamma.
 """
@@ -35,7 +39,7 @@ from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, field_for,
 from .parsing import OdeCubic
 
 __all__ = [
-    "WEIGHTS", "Pseudo", "BranchChoice", "BothComponentsZero", "GammaUndefined",
+    "WEIGHTS", "INVARIANTS", "Pseudo", "BothComponentsZero", "GammaUndefined",
     "BranchDisagreement", "InvariantPipeline",
 ]
 
@@ -79,13 +83,23 @@ class Pseudo:
         return self.components[0]
 
 
-@dataclass(frozen=True)
-class BranchChoice:
-    """Which of the dual formula families applies, with zero-test witnesses."""
+def _dot(u, w):
+    return u[0] * w[0] + u[1] * w[1]
 
-    choice: Literal["A", "B", "both"]
-    a_verdict: ZeroVerdict
-    b_verdict: ZeroVerdict
+
+# name -> formula(value, field) of a reduced weight-0 invariant: Theorem 1's
+# two, and Theorem 2's with J = (4 + 10*I6 - 60*I3)/(50*sqrt(I9))
+INVARIANTS = {
+    "L1^4/L^5": lambda v, F: F.reduce(v("L1")**4 / v("L")**5),
+    "Theta^2/L": lambda v, F: F.reduce(v("Theta")**2 / v("L")),
+    "I1": lambda v, F: F.reduce(v("M") / v("N")**2),
+    "I3": lambda v, F: F.reduce(v("Gamma") / v("M")),
+    "grad I3": lambda v, F: (F.diff(v("I3"), X), F.diff(v("I3"), Y)),
+    "I6": lambda v, F: F.reduce(_dot(v("grad I3"), (v("B"), -v("A"))) / v("N")),
+    "I9": lambda v, F: F.reduce(_dot(v("grad I3"), v("xi"))**2 / v("N")**3),
+    "J^2": lambda v, F: F.reduce(
+        (4 + 10 * v("I6") - 60 * v("I3"))**2 / (2500 * v("I9"))),
+}
 
 
 class _Frame:
@@ -221,10 +235,11 @@ class InvariantPipeline:
 
     The chain is computed in the :class:`~painleq.exprkernel.RationalField`
     of the coefficients, which are converted into it once.  Each stage
-    evaluates its formula on field elements, keeps the reduced result (read
-    it with :meth:`value`) and returns it as an expression.  Zero tests share
-    one seed for reproducibility.  Non-fatal diagnostics (branch agreement
-    checked only numerically, etc.) accumulate in ``warnings``.
+    evaluates its formula on field elements, keeps the reduced result, read
+    by :meth:`value` as an ``INVARIANTS`` value is, and returns it as an
+    expression.  Zero tests share one seed for reproducibility.  Non-fatal
+    diagnostics (branch agreement checked only numerically, etc.)
+    accumulate in ``warnings``.
     """
 
     def __init__(self, ode: OdeCubic, seed: int = DEFAULT_SEED):
@@ -233,6 +248,7 @@ class InvariantPipeline:
         self.warnings: list[str] = []
         self.field = field_for(ode.P, ode.Q, ode.R, ode.S)
         self._values: dict[str, object] = {}
+        self._verdicts: dict[str, ZeroVerdict] = {}
         self._omega_cache: dict[str, tuple] = {}
         self._partials: dict[tuple[int, sp.Symbol], tuple] = {}
         self._frames = {b: _Frame(self, b) for b in ("A", "B")}
@@ -242,11 +258,20 @@ class InvariantPipeline:
         return is_identically_zero(e, seed=self.seed)
 
     def value(self, name: str):
-        """Reduced field value of stage ``name`` (a pair for phi, omega,
-        theta, gamma and xi), computed through its property on first use."""
+        """Reduced field value of stage or invariant ``name`` (a pair for
+        phi, omega, theta, gamma, xi and grad I3), computed on first use."""
         if name not in self._values:
-            getattr(self, name)
+            if name in INVARIANTS:
+                self._values[name] = INVARIANTS[name](self.value, self.field)
+            else:
+                getattr(self, name)
         return self._values[name]
+
+    def verdict(self, name: str) -> ZeroVerdict:
+        """The zero test of ``value(name)``, made once per pipeline."""
+        if name not in self._verdicts:
+            self._verdicts[name] = self.zero_verdict(self.value(name))
+        return self._verdicts[name]
 
     def _out(self, name: str, *parts):
         """Keep the reduced field value of a stage; return it as expressions."""
@@ -263,10 +288,11 @@ class InvariantPipeline:
     def _dual(self, name: str):
         """Stage ``name``; on both branches, asserted to agree if F = 0."""
         br = self.branch  # raises BothComponentsZero when degenerate
-        if br.choice != "both":
-            return self._on(br.choice, name)
+        if br != "both":
+            return self._on(br, name)
         va, vb = self._on("A", name), self._on("B", name)
-        if self.f_verdict.is_zero:
+        # equal fractions agree without a zero test of their difference
+        if self.verdict("F5").is_zero and va != vb:
             diff = self.zero_verdict(va - vb)
             if diff.is_nonzero:
                 raise BranchDisagreement(
@@ -288,13 +314,12 @@ class InvariantPipeline:
         return self._out("B", self._on("B", "B"))
 
     @cached_property
-    def branch(self) -> BranchChoice:
-        a_v = self.zero_verdict(self.value("A"))
-        b_v = self.zero_verdict(self.value("B"))
-        if a_v.is_zero and b_v.is_zero:
+    def branch(self) -> Literal["A", "B", "both"]:
+        """The formulas that apply, witnessed by verdict("A"), verdict("B")."""
+        a_zero, b_zero = self.verdict("A").is_zero, self.verdict("B").is_zero
+        if a_zero and b_zero:
             raise BothComponentsZero("alpha vanishes identically (A = 0 and B = 0)")
-        return BranchChoice("B" if a_v.is_zero else "A" if b_v.is_zero else "both",
-                            a_v, b_v)
+        return "B" if a_zero else "A" if b_zero else "both"
 
     # -- F ----------------------------------------------------------------
 
@@ -312,10 +337,6 @@ class InvariantPipeline:
         v = self.value
         return self._out("F5", (v("A") * v("G") + v("B") * v("H")) / 3)
 
-    @cached_property
-    def f_verdict(self) -> ZeroVerdict:
-        return self.zero_verdict(self.value("F5"))
-
     # -- N, phi, M, Omega -------------------------------------------------
 
     @cached_property
@@ -324,7 +345,7 @@ class InvariantPipeline:
 
     @cached_property
     def phi(self) -> tuple[sp.Expr, sp.Expr]:
-        return self._out("phi", *self._on(self.branch.choice, "phi"))
+        return self._out("phi", *self._on(self.branch, "phi"))
 
     @cached_property
     def M(self) -> sp.Expr:
@@ -338,7 +359,7 @@ class InvariantPipeline:
 
     @cached_property
     def omega(self) -> tuple[sp.Expr, sp.Expr]:
-        which = "B" if self.branch.choice == "B" else "A"
+        which = "B" if self.branch == "B" else "A"
         self._values["omega"] = self._omega_value(which)
         return self._omega_cache[which][1]
 
@@ -410,7 +431,7 @@ class InvariantPipeline:
 
     @cached_property
     def gamma(self) -> tuple[sp.Expr, sp.Expr]:
-        return self._out("gamma", *self._on(self.branch.choice, "gamma"))
+        return self._out("gamma", *self._on(self.branch, "gamma"))
 
     @cached_property
     def xi(self) -> tuple[sp.Expr, sp.Expr]:
@@ -419,12 +440,8 @@ class InvariantPipeline:
         return self._out("xi", -2 * Om * B - g1, 2 * Om * A - g2)
 
     @cached_property
-    def m_verdict(self) -> ZeroVerdict:
-        return self.zero_verdict(self.value("M"))
-
-    @cached_property
     def Gamma(self) -> sp.Expr:
-        if self.m_verdict.is_zero:
+        if self.verdict("M").is_zero:
             raise GammaUndefined("M vanishes identically; Gamma divides by M")
         P, Q, R, S = self._frames["A"].pqrs
         g1, g2 = self.value("gamma")

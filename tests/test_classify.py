@@ -1,14 +1,19 @@
 """Theorem checks and the top-level classifier."""
 
+from collections import Counter
+
 import pytest
 import sympy as sp
 
 from painleq import canonical as cn
+from painleq import invariants
 from painleq.classify import (ConditionCheck, InvariantReport,
                               check_painleve1, check_painleve2,
                               check_painleve3zero, classify)
 from painleq.exprkernel import X, Y, ZeroVerdict, normalize, root_up_to_sign
+from painleq.invariants import INVARIANTS, InvariantPipeline
 from painleq.parsing import OdeCubic
+from painleq.transform import PointMap, pullback_ode
 
 ZERO = sp.Integer(0)
 A_SYM, B_SYM, D_SYM = sp.symbols("a b d")
@@ -79,6 +84,11 @@ def test_kamke_as_printed_is_indeterminate_numeric():
     cls = classify(cn.kamke_6_9(2, 3, 5, 7))
     assert cls.kind == "indeterminate"
     assert any("J^2 = -49/9" in d for d in cls.diagnostics)
+    # Theorem 2's report is kept: its conditions all hold, but J^2 < 0
+    assert list(cls.reports) == ["painleve1", "painleve2", "painleve3_zero"]
+    rep = cls.reports["painleve2"]
+    assert len(rep.conditions) == 6 and rep.passed is True
+    assert "J" not in rep.invariants
 
 
 def test_kamke_sign_corrected_numeric():
@@ -150,3 +160,38 @@ def test_painleve2_reports_the_j_conditions():
     assert [c.label for c in rep.conditions[-2:]] == [
         "Theorem 2 condition 5: I9 != 0", "Theorem 2 condition 6: J^2 constant"]
     assert rep.passed is True
+
+
+@pytest.mark.parametrize("ode", [
+    cn.painleve3_zero(),
+    pullback_ode(cn.painleve2(1), PointMap(X + Y**2, Y)),
+], ids=["painleve3_zero", "painleve2_sheared"])
+def test_each_quantity_is_computed_and_zero_tested_once(monkeypatch, ode):
+    """The theorems read one pipeline: each stage and each weight-0
+    invariant is computed once, and each is zero-tested at most once,
+    although Omega is a condition of all three theorems and I1 = M/N^2 of
+    Theorems 2 and 3."""
+    computed, tested = Counter(), []
+
+    def counted(name, formula):
+        def run(*args):
+            computed[name] += 1
+            return formula(*args)
+        return run
+
+    for name, formula in INVARIANTS.items():
+        monkeypatch.setitem(INVARIANTS, name, counted(name, formula))
+    out = InvariantPipeline._out
+    monkeypatch.setattr(InvariantPipeline, "_out", lambda self, name, *parts:
+                        counted(name, out)(self, name, *parts))
+    zero_test = invariants.is_identically_zero
+    monkeypatch.setattr(invariants, "is_identically_zero", lambda e, seed:
+                        tested.append(e) or zero_test(e, seed=seed))
+    pipe = InvariantPipeline(ode)
+    cls = classify(ode, pipe=pipe)
+    assert cls.kind == ("painleve3_zero" if pipe.branch == "A" else "painleve2")
+    zero_tests = Counter(name for e in tested
+                         for name, v in pipe._values.items() if e is v)
+    assert {"F5", "Omega", "M", "I1", "I9"} <= set(computed)
+    assert zero_tests["Omega"] == 1 and zero_tests["M"] == 1
+    assert max(computed.values()) == 1 and max(zero_tests.values()) == 1

@@ -158,6 +158,27 @@ def test_field_zero_test_takes_field_elements():
     assert is_identically_zero(field(X * s)).is_nonzero
 
 
+def test_zero_test_of_a_field_element_takes_no_gcd(monkeypatch):
+    """n/d is zero exactly when n is zero modulo the relations, so the zero
+    test reduces the numerator alone and builds no fraction, whose
+    cancelling would take a gcd."""
+    s, c = sp.sin(Y), sp.cos(Y)
+    field = field_for(sp.sin(2 * Y), s, X)
+    cases = [
+        (field(s**2 + c**2 - 1), "zero"),
+        (field.free((s**2 + c**2 - 1) / (X + c**2)), "zero"),
+        (field(X * s / (1 + c**2)), "nonzero"),
+        (field(sp.sin(2 * Y) - 2 * s * c), "unknown"),
+    ]
+
+    def new(*args, **kwargs):
+        raise AssertionError("the zero test built a fraction")
+
+    monkeypatch.setattr(FracField, "new", new)
+    for f, status in cases:
+        assert is_identically_zero(f).status == status
+
+
 def test_zero_verdict_exact_for_one_trig_pair():
     e = sp.sin(Y)**2 * X + sp.cos(Y)**2 * Y**3 + sp.cos(Y) * sp.sin(Y)
     assert is_identically_zero(e).note == \

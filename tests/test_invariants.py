@@ -190,7 +190,7 @@ def test_b_branch_is_the_swapped_a_branch(ode):
     sign, with a pair's components exchanged."""
     pipe = InvariantPipeline(ode)
     star = InvariantPipeline(pullback_ode(ode, PointMap(Y, X)))
-    assert pipe.branch.choice == "A" and star.branch.choice == "B"
+    assert pipe.branch == "A" and star.branch == "B"
     swap = {X: Y, Y: X}
     for name in STAGES:
         partner, sign = SWAPPED_FROM.get(name) or (name, (-1) ** WEIGHTS[name])
