@@ -9,7 +9,7 @@ from .exprkernel import (DEFAULT_SEED, X, Y, P, ZeroVerdict, evaluate_numeric,
                          is_identically_zero, normalize)
 from .parsing import (OdeCubic, parse_expression, extract_cubic_coefficients,
                       to_grammar)
-from .invariants import InvariantPipeline, Pseudo, WEIGHTS
+from .invariants import InvariantPipeline, WEIGHTS
 from .classify import (Classification, InvariantReport, check_painleve1,
                        check_painleve2, check_painleve3zero)
 from .transform import (PointMap, map_painleve1, map_painleve2, pullback_ode,
@@ -20,7 +20,7 @@ __all__ = [
     "DEFAULT_SEED", "X", "Y", "P", "ZeroVerdict",
     "evaluate_numeric", "is_identically_zero", "normalize",
     "OdeCubic", "parse_expression", "extract_cubic_coefficients", "to_grammar",
-    "InvariantPipeline", "Pseudo", "WEIGHTS",
+    "InvariantPipeline", "WEIGHTS",
     "Classification", "InvariantReport", "check_painleve1", "check_painleve2",
     "check_painleve3zero",
     "PointMap", "map_painleve1", "map_painleve2", "pullback_ode", "verify_map",

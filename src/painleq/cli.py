@@ -285,15 +285,15 @@ def _cmd_invariants(args, out) -> int:
         names = []
     for name in names:
         try:
-            p = pipe.pseudo(name)
+            p = (pipe.B, -pipe.A) if name == "alpha" else getattr(pipe, name)
         except (BothComponentsZero, GammaUndefined, BranchDisagreement,
                 ZeroDivisionError):
             continue
-        if len(p.components) == 1:
-            pseudo[name] = p.expr
-        else:
-            for i, comp in enumerate(p.components, start=1):
+        if isinstance(p, tuple):
+            for i, comp in enumerate(p, start=1):
                 pseudo[f"{name}{i}"] = comp
+        else:
+            pseudo[name] = p
     pseudo.update(inv)
     _emit(_report_dict(cls, pseudo, None, warnings), args.as_json, out)
     return _classification_exit(cls)

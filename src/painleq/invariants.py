@@ -1,32 +1,44 @@
 """Pseudoinvariant pipeline for cubic-in-derivative second-order ODEs.
 
-Every quantity is computed from (P, Q, R, S) by the fully expanded closed
-formula of the A branch, which divides by A.  The B branch, which divides by
-B, is the same formula on the x <-> y dual: as x(y), y'' = P + 3Q y' +
-3R y'^2 + S y'^3 has coefficients (-S, -R, -Q, -P), and A, B become -B, -A.
-So a B-branch value is the A-branch formula * on the dual frame (-S, -R, -Q,
--P, -B, -A, d/dy, d/dx; N kept, Omega negated) times a fixed sign (``_DUAL``):
-B = -A*, G = H*, N = N*, M = M*, Omega = -Omega*, Theta = Theta*, and with
-the components exchanged omega = -omega*, phi = phi*, gamma = -gamma*; for a
-weighted scalar the sign is (-1)**weight.  With A and B both nonzero, N, M,
-Omega and Theta are evaluated on both branches and asserted to agree when
-F = 0; phi, omega and gamma take A unless only B applies.  Theta (and all
-after it) is a pseudoinvariant only where N = 0, which is where the first
-theorem uses it.  The formulas run on elements of the coefficients'
-RationalField; each stage property returns its reduced value as an
-expression, and :meth:`InvariantPipeline.value` gives the field value.
+A, B, G, H, N, phi, omega and Theta are computed from (P, Q, R, S) by the
+fully expanded closed formula of the A branch, which divides by A.  The B
+branch, which divides by B, is the same formula on the x <-> y dual: as
+x(y), y'' = P + 3Q y' + 3R y'^2 + S y'^3 has coefficients (-S, -R, -Q, -P),
+and A, B become -B, -A.  So a B-branch value is the A-branch formula * on
+the dual frame (-S, -R, -Q, -P, -B, -A, d/dy, d/dx; N kept, Omega negated)
+times a fixed sign (``_DUAL``): B = -A*, G = H*, N = N*, M = M*, Omega =
+-Omega*, Theta = Theta*, and with the components exchanged omega = -omega*,
+phi = phi*, gamma = -gamma*; for a weighted scalar the sign is
+(-1)**weight.  With A and B both nonzero and F = 0, N, M, Omega and Theta
+are evaluated on both branches as well and asserted to agree; phi, omega
+and gamma take A unless only B applies.  Theta (and all after it) is a
+pseudoinvariant only where N = 0, which is where the first theorem uses it.
 
-The weight-0 invariants that the theorems read are formulas of the stages
-in ``INVARIANTS``, and :meth:`InvariantPipeline.verdict` zero-tests a named
+The other stages are built from three operators of the frame (README,
+"Three operators"): ``D f = grad f + w f phi``, w the ``WEIGHTS`` entry of
+f; Omega, -(5/3) times the curl of phi; and ``K(v)``, v1^3 times the
+equation's residual along the vector field v.  Then M = (B, -A).D N,
+gamma = (-(D N)_2 - 2 Omega B, (D N)_1 + 2 Omega A), theta = ((D Theta)_2,
+-(D Theta)_1), L = -K(theta) - Theta^2/2, L1 = theta.D L, W = theta.D L1,
+V = (B, -A).D L1 and Gamma = K(gamma)/M.  M, Omega and gamma read their
+frame's own phi, unreduced; theta, L1, W and V read the stored phi.  Equal
+formulas on other operands can give other, equal fractions modulo
+cos^2 + sin^2 - 1; these give each stored value the expanded displays' one.
+
+The formulas run on elements of the coefficients' RationalField; each stage
+property returns its reduced value as an expression, and
+:meth:`InvariantPipeline.value` gives the field value.  The weight-0
+invariants that the theorems read are formulas of the stages in
+``INVARIANTS``, and :meth:`InvariantPipeline.verdict` zero-tests a named
 value, each once per pipeline however many theorems read it.
 
-Dependency order: alpha -> F -> N -> phi -> {M, omega} -> Theta -> theta ->
-L -> L1 -> {W, V}; and N, Omega, phi -> gamma -> xi -> Gamma.
+Dependency order: alpha -> F -> N -> phi -> {M, Omega, omega}; omega ->
+Theta -> theta -> L -> L1 -> {W, V}; and N, Omega, phi -> gamma -> xi;
+gamma, M -> Gamma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -39,7 +51,7 @@ from .exprkernel import (DEFAULT_SEED, X, Y, ZeroVerdict, field_for,
 from .parsing import OdeCubic
 
 __all__ = [
-    "WEIGHTS", "INVARIANTS", "Pseudo", "BothComponentsZero", "GammaUndefined",
+    "WEIGHTS", "INVARIANTS", "BothComponentsZero", "GammaUndefined",
     "BranchDisagreement", "InvariantPipeline",
 ]
 
@@ -66,21 +78,6 @@ class GammaUndefined(ValueError):
 
 class BranchDisagreement(AssertionError):
     """A-branch and B-branch values of a pseudoinvariant differ with F = 0."""
-
-
-@dataclass(frozen=True)
-class Pseudo:
-    """A scalar or two-component pseudo-object with its integer weight."""
-
-    name: str
-    weight: int
-    components: tuple[sp.Expr, ...]
-
-    @property
-    def expr(self) -> sp.Expr:
-        if len(self.components) != 1:
-            raise ValueError(f"{self.name} is not a scalar")
-        return self.components[0]
 
 
 def _dot(u, w):
@@ -159,6 +156,27 @@ class _Frame:
     def view(self):
         return (*self.pqrs, self.value("A"), self.value("B"), self.dx, self.dy)
 
+    # -- the three operators -----------------------------------------------
+
+    def D(self, name: str, phi):
+        """grad f + w f phi for stored stage f = ``name`` of weight w."""
+        f, w = self.value(name), WEIGHTS[name]
+        return self.dx(f) + w * f * phi[0], self.dy(f) + w * f * phi[1]
+
+    def K(self, v):
+        """v1**3 (P + 3Q y' + 3R y'^2 + S y'^3 - y'') along the integral
+        curves of the vector field ``v``."""
+        P, Q, R, S = self.pqrs
+        (v1, v2), dx, dy = v, self.dx, self.dy
+        return (v1 * v2 * (dx(v1) - dy(v2)) + v2**2 * dy(v1) - v1**2 * dx(v2)
+                + P * v1**3 + 3 * Q * v1**2 * v2 + 3 * R * v1 * v2**2
+                + S * v2**3)
+
+    def Omega(self):
+        """-(5/3) times the curl of phi."""
+        phi1, phi2 = self._phi
+        return -sp.Rational(5, 3) * (self.dx(phi2) - self.dy(phi1))
+
     # -- the A-branch formulas ---------------------------------------------
 
     def A(self):
@@ -176,7 +194,8 @@ class _Frame:
     def N(self):
         return -self.value("H") / (3 * self.value("A"))
 
-    def phi(self):
+    @cached_property
+    def _phi(self):
         P, Q, R, _, A, B, dx, dy = self.view()
         phi1 = -sp.Rational(3, 5) * (B * P + dx(A)) / A + sp.Rational(3, 5) * Q
         phi2 = (sp.Rational(3, 5) * B * (B * P + dx(A)) / A**2
@@ -184,23 +203,13 @@ class _Frame:
                 + sp.Rational(6, 5) * R)
         return phi1, phi2
 
-    def M(self):
-        P, Q, R, _, A, B, dx, dy = self.view()
-        N = self.value("N")
-        return (-sp.Rational(12, 5) * B * N * (B * P + dx(A)) / A + B * dx(N)
-                + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * dx(B)
-                + sp.Rational(6, 5) * N * dy(A) - A * dy(N)
-                - sp.Rational(12, 5) * A * N * R)
+    def phi(self):
+        """phi, computed once per frame and not reduced: the frame's M,
+        Omega and gamma read it as it stands."""
+        return self._phi
 
-    def Omega(self):
-        P, Q, R, _, A, B, dx, dy = self.view()
-        return (2 * B * dx(A) * (B * P + dx(A)) / A**3
-                - (2 * dx(B) + 3 * B * Q) * dx(A) / A**2
-                + (dy(A) - 2 * dx(B)) * B * P / A**2
-                - (B * dx(dx(A)) + B**2 * dx(P)) / A**2
-                + dx(dx(B)) / A
-                + (3 * dx(B) * Q + 3 * B * dx(Q) - dy(B) * P - B * dy(P)) / A
-                + dy(Q) - 2 * dx(R))
+    def M(self):
+        return _dot((self.value("B"), -self.value("A")), self.D("N", self._phi))
 
     def omega(self):
         """omega_1 by its closed formula, and omega_2 = omega_1*B/A."""
@@ -219,15 +228,9 @@ class _Frame:
         return self.value("omega")[0] / self.value("A")
 
     def gamma(self):
-        P, Q, R, _, A, B, dx, dy = self.view()
-        N, Om = self.value("N"), self.value("Omega")
-        g1 = (-sp.Rational(6, 5) * B * N * (B * P + dx(A)) / A**2
-              + sp.Rational(18, 5) * N * B * Q / A
-              + sp.Rational(6, 5) * N * (dx(B) + dy(A)) / A
-              - dy(N) - sp.Rational(12, 5) * N * R - 2 * Om * B)
-        g2 = (-sp.Rational(6, 5) * N * (B * P + dx(A)) / A + dx(N)
-              + sp.Rational(6, 5) * N * Q + 2 * Om * A)
-        return g1, g2
+        A, B, Om = self.value("A"), self.value("B"), self.value("Omega")
+        DN = self.D("N", self._phi)
+        return -DN[1] - 2 * Om * B, DN[0] + 2 * Om * A
 
 
 class InvariantPipeline:
@@ -252,7 +255,7 @@ class InvariantPipeline:
         self._omega_cache: dict[str, tuple] = {}
         self._partials: dict[tuple[int, sp.Symbol], tuple] = {}
         self._frames = {b: _Frame(self, b) for b in ("A", "B")}
-        self._dx, self._dy = self._frames["A"].dx, self._frames["A"].dy
+        self._a = self._frames["A"]  # where the pipeline's formulas run
 
     def zero_verdict(self, e) -> ZeroVerdict:
         return is_identically_zero(e, seed=self.seed)
@@ -288,11 +291,11 @@ class InvariantPipeline:
     def _dual(self, name: str):
         """Stage ``name``; on both branches, asserted to agree if F = 0."""
         br = self.branch  # raises BothComponentsZero when degenerate
-        if br != "both":
+        if br != "both" or not self.verdict("F5").is_zero:
             return self._on(br, name)
         va, vb = self._on("A", name), self._on("B", name)
         # equal fractions agree without a zero test of their difference
-        if self.verdict("F5").is_zero and va != vb:
+        if va != vb:
             diff = self.zero_verdict(va - vb)
             if diff.is_nonzero:
                 raise BranchDisagreement(
@@ -383,49 +386,30 @@ class InvariantPipeline:
 
     @cached_property
     def theta(self) -> tuple[sp.Expr, sp.Expr]:
-        phi1, phi2 = self.value("phi")
-        Th = self.value("Theta")
-        return self._out("theta", self._dy(Th) - 2 * phi2 * Th,
-                         -self._dx(Th) + 2 * phi1 * Th)
+        d1, d2 = self._a.D("Theta", self.value("phi"))
+        return self._out("theta", d2, -d1)
 
     # -- L chain -----------------------------------------------------------
 
     @cached_property
     def L(self) -> sp.Expr:
-        P, Q, R, S = self._frames["A"].pqrs
-        t1, t2 = self.value("theta")
-        Th = self.value("Theta")
-        _dx, _dy = self._dx, self._dy
-        # The three derivative terms carry the opposite sign from the source
-        # display; as printed they break the weight -4 transformation law on
-        # any instance where theta is not constant.
-        return self._out("L",
-            t1 * t2 * (_dy(t2) - _dx(t1)) - t2**2 * _dy(t1) + t1**2 * _dx(t2)
-            - P * t1**3 - 3 * Q * t1**2 * t2 - 3 * R * t1 * t2**2 - S * t2**3
-            - Th**2 / 2)
+        return self._out("L", -self._a.K(self.value("theta"))
+                         - self.value("Theta")**2 / 2)
 
     @cached_property
     def L1(self) -> sp.Expr:
-        t1, t2 = self.value("theta")
-        phi1, phi2 = self.value("phi")
-        L = self.value("L")
-        return self._out("L1", self._dx(L) * t1 + self._dy(L) * t2
-                         - 4 * L * (phi1 * t1 + phi2 * t2))
+        return self._out("L1", _dot(self.value("theta"),
+                                    self._a.D("L", self.value("phi"))))
 
     @cached_property
     def W(self) -> sp.Expr:
-        t1, t2 = self.value("theta")
-        phi1, phi2 = self.value("phi")
-        L1 = self.value("L1")
-        return self._out("W", self._dx(L1) * t1 + self._dy(L1) * t2
-                         - 5 * L1 * (phi1 * t1 + phi2 * t2))
+        return self._out("W", _dot(self.value("theta"),
+                                   self._a.D("L1", self.value("phi"))))
 
     @cached_property
     def V(self) -> sp.Expr:
-        phi1, phi2 = self.value("phi")
-        A, B, L1 = self.value("A"), self.value("B"), self.value("L1")
-        return self._out("V", self._dx(L1) * B - self._dy(L1) * A
-                         - 5 * L1 * (B * phi1 - A * phi2))
+        return self._out("V", _dot((self.value("B"), -self.value("A")),
+                                   self._a.D("L1", self.value("phi"))))
 
     # -- gamma, xi, Gamma --------------------------------------------------
 
@@ -443,15 +427,5 @@ class InvariantPipeline:
     def Gamma(self) -> sp.Expr:
         if self.verdict("M").is_zero:
             raise GammaUndefined("M vanishes identically; Gamma divides by M")
-        P, Q, R, S = self._frames["A"].pqrs
-        g1, g2 = self.value("gamma")
-        _dx, _dy = self._dx, self._dy
         return self._out("Gamma",
-            (g1 * g2 * (_dx(g1) - _dy(g2)) + g2**2 * _dy(g1) - g1**2 * _dx(g2)
-             + P * g1**3 + 3 * Q * g1**2 * g2 + 3 * R * g1 * g2**2 + S * g2**3)
-            / self.value("M"))
-
-    def pseudo(self, name: str) -> Pseudo:
-        value = (self.B, -self.A) if name == "alpha" else getattr(self, name)
-        return Pseudo(name, WEIGHTS[name],
-                      value if isinstance(value, tuple) else (value,))
+                         self._a.K(self.value("gamma")) / self.value("M"))

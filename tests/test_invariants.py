@@ -9,8 +9,9 @@ from painleq import canonical as cn
 from painleq.exprkernel import X, Y, is_identically_zero, normalize
 from painleq.invariants import (WEIGHTS, BothComponentsZero,
                                 BranchDisagreement, GammaUndefined,
-                                InvariantPipeline)
-from painleq.parsing import OdeCubic
+                                InvariantPipeline, _Frame)
+from painleq.parsing import (OdeCubic, extract_cubic_coefficients,
+                             parse_expression)
 from painleq.transform import PointMap, pullback_ode
 
 A_SYM, Y3 = sp.Symbol("a"), 2 * Y**3
@@ -139,36 +140,109 @@ def test_omega_vanishes_on_trigonometric_disguise():
     assert is_identically_zero(pipe.Omega).is_zero
 
 
+class _SymbolicFrame:
+    """The frame's operator formulas on arbitrary functions of (x, y)."""
+
+    D, Omega, M, gamma = _Frame.D, _Frame.Omega, _Frame.M, _Frame.gamma
+
+    def __init__(self):
+        P, Q, R, S, A, B, N, Om = (sp.Function(n)(X, Y) for n in
+                                   ("P", "Q", "R", "S", "A", "B", "N", "Omega"))
+        self.pqrs = (P, Q, R, S)
+        self.stored = {"A": A, "B": B, "N": N, "Omega": Om}
+        dx = self.dx = lambda f: sp.diff(f, X)
+        dy = self.dy = lambda f: sp.diff(f, Y)
+        # the formula of _Frame.phi
+        self._phi = (-sp.Rational(3, 5) * (B * P + dx(A)) / A
+                     + sp.Rational(3, 5) * Q,
+                     sp.Rational(3, 5) * B * (B * P + dx(A)) / A**2
+                     - sp.Rational(3, 5) * (dx(B) + dy(A) + 3 * B * Q) / A
+                     + sp.Rational(6, 5) * R)
+
+    def value(self, name):
+        return self.stored[name]
+
+
+def test_operator_forms_equal_the_expanded_displays():
+    """Omega = -(5/3) curl phi, M = (B, -A).D N and gamma = (-(D N)_2 -
+    2 Omega B, (D N)_1 + 2 Omega A) are the paper's expanded A-branch
+    displays, which are kept here as the reference."""
+    fr = _SymbolicFrame()
+    P, Q, R, _ = fr.pqrs
+    A, B, N, Om = (fr.stored[k] for k in ("A", "B", "N", "Omega"))
+    dx, dy = fr.dx, fr.dy
+    omega_display = (
+        2 * B * dx(A) * (B * P + dx(A)) / A**3
+        - (2 * dx(B) + 3 * B * Q) * dx(A) / A**2
+        + (dy(A) - 2 * dx(B)) * B * P / A**2
+        - (B * dx(dx(A)) + B**2 * dx(P)) / A**2
+        + dx(dx(B)) / A
+        + (3 * dx(B) * Q + 3 * B * dx(Q) - dy(B) * P - B * dy(P)) / A
+        + dy(Q) - 2 * dx(R))
+    m_display = (
+        -sp.Rational(12, 5) * B * N * (B * P + dx(A)) / A + B * dx(N)
+        + sp.Rational(24, 5) * B * N * Q + sp.Rational(6, 5) * N * dx(B)
+        + sp.Rational(6, 5) * N * dy(A) - A * dy(N)
+        - sp.Rational(12, 5) * A * N * R)
+    gamma_display = (
+        -sp.Rational(6, 5) * B * N * (B * P + dx(A)) / A**2
+        + sp.Rational(18, 5) * N * B * Q / A
+        + sp.Rational(6, 5) * N * (dx(B) + dy(A)) / A
+        - dy(N) - sp.Rational(12, 5) * N * R - 2 * Om * B,
+        -sp.Rational(6, 5) * N * (B * P + dx(A)) / A + dx(N)
+        + sp.Rational(6, 5) * N * Q + 2 * Om * A)
+    pairs = [(fr.Omega(), omega_display), (fr.M(), m_display),
+             *zip(fr.gamma(), gamma_display)]
+    for got, want in pairs:
+        assert sp.cancel(got - want) == 0
+
+
+def test_unequal_branches_evaluate_only_the_a_frame(monkeypatch):
+    """With A and B both nonzero and F != 0, the B-branch values of N, M and
+    Omega would not be compared, so they are not computed."""
+    evaluated = []
+    for name in ("N", "M", "Omega"):
+        def record(fr, _formula=getattr(_Frame, name), _name=name):
+            evaluated.append((fr.branch, _name))
+            return _formula(fr)
+        monkeypatch.setattr(_Frame, name, record)
+    pipe = InvariantPipeline(extract_cubic_coefficients(parse_expression(
+        "x*y^2 + p*y + p^2*x + p^3*(x+y)")))
+    assert pipe.branch == "both" and pipe.verdict("F5").is_nonzero
+    pipe.N, pipe.M, pipe.Omega
+    assert sorted(evaluated) == [("A", "M"), ("A", "N"), ("A", "Omega")]
+
+
 def _det(pm):
     return normalize(sp.diff(pm.x_new, X) * sp.diff(pm.y_new, Y)
                      - sp.diff(pm.x_new, Y) * sp.diff(pm.y_new, X))
 
 
+# target -> weighted scalars that are nonzero on it
+LAW_TARGETS = [
+    (cn.painleve1(), ("Theta", "L", "L1")),
+    (cn.painleve2(1), ("N", "M", "Gamma")),
+    (OdeCubic(X * Y**2 + Y**3, *(sp.Integer(0),) * 3), ("N", "M", "Gamma")),
+]
+
+
 @pytest.mark.parametrize("pm", [
     PointMap(X + Y**2, Y), PointMap(X + Y, X * Y)], ids=["shear", "mixed"])
 def test_transformation_law_weights(pm):
-    """Spot check of the transformation law on pullbacks of Painleve II:
-    the source-side value equals the composed target value times det^2 for
-    N and det^4 for M, det being the Jacobian of the map."""
-    tgt = cn.painleve2(1)
-    src = pullback_ode(tgt, pm)
-    tp, sp_ = InvariantPipeline(tgt), InvariantPipeline(src)
+    """On pullbacks of Painleve I, Painleve II(1) and y'' = x y^2 + y^3, the
+    source value of each weighted scalar equals the target value composed
+    with the map times det**WEIGHTS[name], det being the Jacobian of the
+    map.  A scalar that vanishes on its target would check nothing."""
     det = _det(pm)
     subs = {X: pm.x_new, Y: pm.y_new}
-    pulled_N = normalize(sp.sympify(tp.N).subs(subs, simultaneous=True))
-    pulled_M = normalize(sp.sympify(tp.M).subs(subs, simultaneous=True))
-    assert is_identically_zero(normalize(sp_.N - pulled_N * det**2)).is_zero
-    assert is_identically_zero(normalize(sp_.M - pulled_M * det**4)).is_zero
-
-
-def test_pseudo_wrapper_shapes():
-    pipe = InvariantPipeline(cn.painleve2(1))
-    assert len(pipe.pseudo("alpha").components) == 2
-    assert len(pipe.pseudo("xi").components) == 2
-    n = pipe.pseudo("N")
-    assert n.weight == 2 and zero(n.expr - 4)
-    with pytest.raises(ValueError):
-        pipe.pseudo("alpha").expr
+    for tgt, names in LAW_TARGETS:
+        tp, sp_ = InvariantPipeline(tgt), InvariantPipeline(pullback_ode(tgt, pm))
+        for name in names:
+            assert tp.verdict(name).is_nonzero, name
+            pulled = normalize(sp.sympify(getattr(tp, name)).subs(
+                subs, simultaneous=True))
+            assert is_identically_zero(normalize(
+                getattr(sp_, name) - pulled * det**WEIGHTS[name])).is_zero, name
 
 
 STAGES = ("A", "B", "G", "H", "F5", "N", "phi", "M", "Omega", "omega",
