@@ -24,7 +24,7 @@ for pm in (PointMap(X + Y**2, Y), PointMap(X + Y, X - Y)):
     m = map_painleve2(cls.reports["painleve2"])
     print(f"disguise ({to_grammar(pm.x_new)}, {to_grammar(pm.y_new)}):"
           f" class {cls.kind}, J = {m.J},"
-          f" residual {m.max_residual:.2e}")
+          f" certified {m.certificate}")
 
 # The Kamke 6.9 family y'' = -ay^3 - bxy - cy - d: all four theorem
 # conditions hold, but J^2 = -a*d^2/(2*b^2) is negative for positive a,
@@ -42,4 +42,4 @@ cls = classify(canonical.kamke_6_9_sign_corrected(2, 3, 5, 7))
 m = map_painleve2(cls.reports["painleve2"])
 print(f"  class: {cls.kind}, J = {m.J}")
 print(f"  map: x_new = {to_grammar(m.x_new)}, y_new = {to_grammar(m.y_new)}")
-print(f"  residual {m.max_residual:.2e}")
+print(f"  certified {m.certificate}")

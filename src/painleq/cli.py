@@ -5,7 +5,7 @@ Subcommands::
     classify    run the three theorem checks and report the class
     invariants  report the pseudoinvariants and weight-0 invariants
     map         classify, then emit and verify the change of variables
-    verify      check a user-supplied map numerically against a target class
+    verify      certify a user-supplied map against a target class
     pullback    transport the input equation backward through a map
 
 The input equation is given either as a full right-hand side (``--rhs``,
@@ -14,8 +14,11 @@ where Q3 and R3 are the raw y' and y'^2 coefficients; the tool divides them
 by 3 to match the stored convention and echoes the stored values.  Exit
 codes: 0 definitive classification or successful verification, 2 not
 equivalent (every theorem fails, or failed verification), 3 indeterminate
-(no theorem passes, and one is undecided or has a negative J^2), 1 usage
-or parse errors (a map with zero Jacobian included).
+(no theorem passes, and one is undecided or has a negative J^2; or no map
+can be certified), 1 usage or parse errors (a map with zero Jacobian
+included).  ``map`` and ``verify`` certify a map by pulling the target
+equation back through it: ``exact`` when the four coefficient differences
+reduce to 0, ``sampled`` when they vanish at the zero test's sample points.
 """
 
 from __future__ import annotations
@@ -23,20 +26,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import sympy as sp
 
 from .classify import Classification, InvariantReport, classify
 # normalize stays a module global: perfbench/tracing.py replaces it here by
 # module attribute
-from .exprkernel import (DEFAULT_SEED, MIN_PRECISION, X, Y,
-                         is_identically_zero, normalize)
+from .exprkernel import DEFAULT_SEED, X, Y, normalize
 from .invariants import (BothComponentsZero, BranchDisagreement,
                          GammaUndefined, InvariantPipeline)
 from .parsing import (ExprSyntaxError, NotCubicInDerivative, OdeCubic,
                       extract_cubic_coefficients, parse_expression, to_grammar)
-from .transform import (DEFAULT_SAMPLES, AllSamplesSingular,
-                        BranchVerificationFailed, DegenerateMap, PointMap,
+from .transform import (BranchVerificationFailed, DegenerateMap, PointMap,
                         map_painleve1, map_painleve2, pullback_ode, verify_map)
 
 __all__ = ["main", "run_cli"]
@@ -77,21 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--S", dest="coef_S", help="coefficient of y'^3")
     common.add_argument("--param", action="append", default=[],
                         metavar="NAME=VALUE",
-                        help="bind a symbolic parameter (value may itself be "
-                             "symbolic); repeatable")
+                        help="bind a one-letter symbolic parameter (value may "
+                             "itself be symbolic); repeatable")
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a machine-readable JSON report")
 
     # pullback's one zero test, of the Jacobian, keeps the default seed
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    # only map and verify evaluate numerically
-    numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                         help="sample count for numeric verification")
-    numeric.add_argument("--precision", type=int, default=60,
-                         help="working decimal digits for numeric evaluation")
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed of the sample points that decide a zero "
+                             "test the exact form leaves open")
 
     mapargs = argparse.ArgumentParser(add_help=False)
     mapargs.add_argument("--x-new", required=True,
@@ -108,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the theorem checks and report the class")
     sub.add_parser("invariants", parents=[common, seeded],
                    help="report pseudoinvariants and weight-0 invariants")
-    emit = sub.add_parser("map", parents=[common, seeded, numeric],
+    emit = sub.add_parser("map", parents=[common, seeded],
                           help="classify and emit the verified change of "
                                "variables")
     emit.add_argument("--p2zam-as-printed", action="store_true",
                       help="use the uncorrected sixth-root x-formula for "
                            "the Painleve II map (fails verification; kept "
                            "for arbitration)")
-    ver = sub.add_parser("verify", parents=[common, seeded, numeric, mapargs],
+    ver = sub.add_parser("verify", parents=[common, seeded, mapargs],
                          help="verify a supplied map against a target class")
     ver.add_argument("--target", required=True,
                      choices=("painleve1", "painleve2"))
@@ -142,6 +139,11 @@ def _bindings(pairs: list[str]) -> dict[sp.Symbol, sp.Expr]:
             raise UsageError(f"--param expects NAME=VALUE, got {pair!r}")
         if name in ("x", "y", "p"):
             raise UsageError(f"--param cannot bind the variable {name}")
+        # a parameter of the grammar is one letter: any other name cannot
+        # occur in the input, so binding it would silently do nothing
+        if len(name) != 1 or not (name.isascii() and name.isalpha()):
+            raise UsageError(f"--param names a one-letter parameter, "
+                             f"got {name!r}")
         out[sp.Symbol(name)] = _parse(value, f"--param {name}")
     return out
 
@@ -151,16 +153,6 @@ def _finite(e: sp.Expr, what: str) -> sp.Expr:
         raise UsageError(f"{what} is undefined: it divides by zero or takes "
                          "ln(0)")
     return e
-
-
-def _numeric_options(args) -> None:
-    """--samples and --precision as numeric verification can use them:
-    at least one sample, and the digits that evaluation needs."""
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    if args.precision < MIN_PRECISION:
-        raise UsageError(f"--precision must be at least {MIN_PRECISION} "
-                         f"digits, got {args.precision}")
 
 
 def _bound(text: str, flag: str, subs: dict) -> sp.Expr:
@@ -208,7 +200,7 @@ def _map_json(pmap: PointMap | None) -> dict | None:
     if pmap is None:
         return None
     return {"x_new": _expr_str(pmap.x_new), "y_new": _expr_str(pmap.y_new),
-            "branch": pmap.branch, "max_residual": pmap.max_residual}
+            "branch": pmap.branch, "certificate": pmap.certificate}
 
 
 def _report_dict(cls: Classification | None, invariants: dict,
@@ -239,7 +231,9 @@ def _emit(doc: dict, as_json: bool, out, inv_label: str = "invariants") -> None:
     m = doc["map"]
     if m is not None:
         out.write(f"map: x_new = {m['x_new']}\n     y_new = {m['y_new']}\n")
-        out.write(f"     branch {m['branch']}, max residual {m['max_residual']}\n")
+        how = (f"certified {m['certificate']}" if m["certificate"]
+               else "not certified")
+        out.write(f"     branch {m['branch']}, {how}\n")
     for w in doc["warnings"]:
         out.write(f"warning: {w}\n")
 
@@ -300,7 +294,6 @@ def _cmd_invariants(args, out) -> int:
 
 
 def _cmd_map(args, out) -> int:
-    _numeric_options(args)
     ode = _load_ode(args)
     cls = classify(ode, seed=args.seed)
     inv, warnings = _gather_invariants(cls)
@@ -311,15 +304,11 @@ def _cmd_map(args, out) -> int:
         rep = cls.reports[cls.kind]
         try:
             if cls.kind == "painleve1":
-                pmap = map_painleve1(rep, samples=args.samples,
-                                     seed=args.seed, precision=args.precision)
+                pmap = map_painleve1(rep, seed=args.seed)
             else:
-                pmap = map_painleve2(rep, samples=args.samples,
-                                     seed=args.seed,
-                                     as_printed=args.p2zam_as_printed,
-                                     precision=args.precision)
-        except (BranchVerificationFailed, DegenerateMap,
-                AllSamplesSingular) as exc:
+                pmap = map_painleve2(rep, seed=args.seed,
+                                     as_printed=args.p2zam_as_printed)
+        except (BranchVerificationFailed, DegenerateMap) as exc:
             warnings.append(f"map emission failed: {exc}")
             _emit(_report_dict(cls, inv, None, warnings), args.as_json, out)
             return EXIT_INDETERMINATE
@@ -330,26 +319,23 @@ def _cmd_map(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    _numeric_options(args)
     ode = _load_ode(args)
     subs = _bindings(args.param)
     j = None if args.J is None else _bound(args.J, "--J", subs)
     pmap = PointMap(_bound(args.x_new, "--x-new", subs),
                     _bound(args.y_new, "--y-new", subs), branch="user", J=j)
-    if is_identically_zero(pmap.jacobian(), seed=args.seed).is_zero:
-        raise UsageError(f"map ({pmap.x_new}, {pmap.y_new}) has zero Jacobian")
     try:
-        ok, residual = verify_map(ode, args.target, pmap,
-                                  samples=args.samples, seed=args.seed,
-                                  precision=args.precision)
-    except AllSamplesSingular as exc:
-        _emit(_report_dict(None, {}, None, [str(exc)]), args.as_json, out)
-        return EXIT_INDETERMINATE
-    pmap = PointMap(pmap.x_new, pmap.y_new, branch="user", J=j,
-                    verified=ok, max_residual=float(residual))
-    note = "verification passed" if ok else "verification failed"
+        passed, detail = verify_map(ode, args.target, pmap, seed=args.seed)
+    except (DegenerateMap, NotCubicInDerivative) as exc:
+        raise UsageError(str(exc)) from None
+    if passed:
+        pmap = replace(pmap, certificate=detail)
+    note = {True: "verification passed",
+            False: f"verification failed: {detail}",
+            None: f"verification abstained: {detail}"}[passed]
     _emit(_report_dict(None, {}, pmap, [note]), args.as_json, out)
-    return EXIT_OK if ok else EXIT_NOT_EQUIVALENT
+    return {True: EXIT_OK, False: EXIT_NOT_EQUIVALENT,
+            None: EXIT_INDETERMINATE}[passed]
 
 
 def _cmd_pullback(args, out) -> int:

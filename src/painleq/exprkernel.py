@@ -85,11 +85,13 @@ class ZeroVerdict:
 
     ``zero`` is only ever produced by the exact normal form; ``unknown`` is
     legal output when normalization is inconclusive and sampling stayed below
-    threshold.
+    threshold.  ``samples`` counts the non-singular sample points evaluated:
+    an ``unknown`` with none had no evidence at all.
     """
 
     status: Literal["zero", "nonzero", "unknown"]
     note: str = ""
+    samples: int = 0
 
     @property
     def is_zero(self) -> bool:
@@ -761,10 +763,10 @@ def root_up_to_sign(e: sp.Expr, n: int) -> sp.Expr:
     return out * content ** sp.Rational(1, n) * radicand ** sp.Rational(1, n)
 
 
-def random_rational(rng: random.Random, lo: int = 1, hi: int = 2,
-                    max_den: int = 10**4) -> Fraction:
+def random_rational(rng: random.Random, max_den: int = 10**4) -> Fraction:
+    """A random rational in [1, 2] with denominator at most ``max_den``."""
     den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+    return Fraction(rng.randint(den, 2 * den), den)
 
 
 def is_identically_zero(e: sp.Expr | FracElement,
@@ -813,11 +815,13 @@ def is_identically_zero(e: sp.Expr | FracElement,
             continue
         tested += 1
         if abs(val) > tol * max(scale[0], mpmath.mpf(1)):
-            return ZeroVerdict("nonzero", f"sample {tested} exceeds tolerance")
+            return ZeroVerdict("nonzero", f"sample {tested} exceeds tolerance",
+                               tested)
     if tested == 0:
         return ZeroVerdict("unknown", "no non-singular sample point found")
     return ZeroVerdict("unknown",
-                       f"{tested} samples below tolerance but not proved zero")
+                       f"{tested} samples below tolerance but not proved zero",
+                       tested)
 
 
 def evaluate_numeric(e: sp.Expr, point: Mapping[sp.Symbol | str, object],
@@ -855,10 +859,9 @@ def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
     post-order, so each of them is computed once per point however often it
     occurs.  The result ``run(point, scale)`` evaluates ``e`` at ``point``, a
     mapping from symbols to values made by :func:`numeric_point`, and must
-    be called under ``mpmath.workdps(precision)``.  For an ``sp.Tuple`` it
-    returns the tuple of its entries' values, computed on one tape.  It
-    keeps in ``scale[0]`` the largest magnitude of any subexpression's
-    value, which bounds the rounding error.  Constants are computed here, at
+    be called under ``mpmath.workdps(precision)``.  It keeps in
+    ``scale[0]`` the largest magnitude of any subexpression's value, which
+    bounds the rounding error.  Constants are computed here, at
     ``precision`` digits; sums go through ``fsum`` and products multiply
     left to right.  Odd roots of negative reals take the real branch; an
     even root of a negative radicand raises EvenRootOfNegative, and a
@@ -960,8 +963,7 @@ def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
 
     with mpmath.workdps(precision):
         guard = mpf(10) ** (-(precision // 2))
-        e = sp.sympify(e)
-        out = [slot(a) for a in e.args] if isinstance(e, sp.Tuple) else slot(e)
+        out = slot(sp.sympify(e))
 
     def run(v, s):
         vals = values.copy()
@@ -970,9 +972,7 @@ def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
         top = max(map(abs, vals))
         if top > s[0]:
             s[0] = top
-        if isinstance(out, int):
-            return vals[out]
-        return tuple(vals[k] for k in out)
+        return vals[out]
     return run
 
 

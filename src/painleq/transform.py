@@ -1,44 +1,33 @@
-"""Explicit changes of variables: emission, pullback generation, verification.
+"""Explicit changes of variables: emission, pullback, certification.
 
 The invariant formulas determine the new variables up to sign branches and up
 to a documented misprint in the published x-formula for the Painleve II case;
-every candidate branch is arbitrated by :func:`verify_map`, a numeric
-pushforward of second-derivative jets at seeded sample points.
+every candidate branch is arbitrated by :func:`verify_map`, which pulls the
+target equation back through the map and zero-tests the differences of its
+four coefficients from the source's.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Literal, Optional
 
-import mpmath
 import sympy as sp
 from sympy.polys.fields import FracElement
 
+from .canonical import painleve1, painleve2
 from .classify import InvariantReport
 # normalize and is_identically_zero stay module globals: perfbench/tracing.py
 # replaces them here by module attribute
-from .exprkernel import (DEFAULT_SEED, EvenRootOfNegative, P, PoleAtPoint, X,
-                         Y, compile_numeric, field_for, is_identically_zero,
-                         normalize, numeric_point, random_rational,
-                         root_up_to_sign, to_expr)
+from .exprkernel import (DEFAULT_SEED, P, X, Y, field_for,
+                         is_identically_zero, normalize, root_up_to_sign,
+                         to_expr)
 from .parsing import NotCubicInDerivative, OdeCubic
 
 __all__ = [
     "PointMap", "DegenerateMap", "BranchVerificationFailed",
-    "AllSamplesSingular", "map_painleve1", "map_painleve2", "pullback_ode",
-    "verify_map", "DEFAULT_SAMPLES", "RESIDUAL_TOLERANCE",
+    "map_painleve1", "map_painleve2", "pullback_ode", "verify_map",
 ]
-
-DEFAULT_SAMPLES = 20
-RESIDUAL_TOLERANCE = mpmath.mpf("1e-9")
-
-TARGET_RHS = {
-    # target residual: y2 - rhs(xt, yt, y1) at the pushed-forward jet
-    "painleve1": lambda xt, yt, y1, j: yt**2 * 6 + xt,
-    "painleve2": lambda xt, yt, y1, j: 2 * yt**3 + xt * yt + j,
-}
 
 
 class DegenerateMap(ValueError):
@@ -46,11 +35,7 @@ class DegenerateMap(ValueError):
 
 
 class BranchVerificationFailed(RuntimeError):
-    """No sign branch of the emitted map survives numeric verification."""
-
-
-class AllSamplesSingular(RuntimeError):
-    """No non-singular sample point found within the search budget."""
+    """No sign branch of the emitted map is certified."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +46,9 @@ class PointMap:
     y_new: sp.Expr
     branch: str = ""
     J: Optional[sp.Expr] = None  # Painleve II parameter carried by the branch
-    verified: Optional[bool] = None
-    max_residual: Optional[float] = None
+    # how verify_map certified the map: every difference reduced to 0, or
+    # some vanished only at the sample points
+    certificate: Optional[Literal["exact", "sampled"]] = None
 
     def jacobian(self) -> FracElement:
         """The Jacobian determinant, reduced in the map's RationalField."""
@@ -72,30 +58,21 @@ class PointMap:
                         - F.diff(xm, Y) * F.diff(ym, X))
 
 
-def _checked(m: PointMap) -> PointMap:
-    if is_identically_zero(m.jacobian()).is_zero:
-        raise DegenerateMap(f"map ({m.x_new}, {m.y_new}) has zero Jacobian")
-    return m
-
-
 def _arbitrate(source: OdeCubic, target: str, candidates: list[PointMap],
-               samples: int, seed: int, precision: int = 60) -> PointMap:
+               seed: int) -> PointMap:
     """Verify the branches in order; return the first that verifies."""
-    results = []
+    notes = []
     for cand in candidates:
-        ok, res = verify_map(source, target, cand, samples=samples, seed=seed,
-                             precision=precision)
-        r = replace(cand, verified=ok,
-                    max_residual=None if res is None else float(res))
-        if ok:
-            return r
-        results.append(r)
-    notes = "; ".join(f"{r.branch}: residual {r.max_residual}" for r in results)
-    raise BranchVerificationFailed(f"no sign branch verifies ({notes})")
+        passed, detail = verify_map(source, target, cand, seed=seed)
+        if passed:
+            return replace(cand, certificate=detail)
+        notes.append(f"{cand.branch}: {detail}")
+    raise BranchVerificationFailed(
+        f"no sign branch verifies ({'; '.join(notes)})")
 
 
-def map_painleve1(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED, precision: int = 60) -> PointMap:
+def map_painleve1(report: InvariantReport,
+                  seed: int = DEFAULT_SEED) -> PointMap:
     """Change of variables onto y'' = 6y^2 + x from the passed Theorem 1 report.
 
     x_new = (12*I1)^(-1/5) is the real fifth root, exact; y_new =
@@ -107,14 +84,13 @@ def map_painleve1(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
     I1, I2 = report.invariants["I1"], report.invariants["I2"]
     x_new = root_up_to_sign(1 / (12 * I1), 5)
     y_mag = root_up_to_sign(I2 * x_new / 12, 2)
-    cands = [_checked(PointMap(x_new, y_mag, branch="y+")),
-             _checked(PointMap(x_new, -y_mag, branch="y-"))]
-    return _arbitrate(report.ode, "painleve1", cands, samples, seed, precision)
+    cands = [PointMap(x_new, y_mag, branch="y+"),
+             PointMap(x_new, -y_mag, branch="y-")]
+    return _arbitrate(report.ode, "painleve1", cands, seed)
 
 
-def map_painleve2(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
-                  seed: int = DEFAULT_SEED, as_printed: bool = False,
-                  precision: int = 60) -> PointMap:
+def map_painleve2(report: InvariantReport, seed: int = DEFAULT_SEED,
+                  as_printed: bool = False) -> PointMap:
     """Change of variables onto y'' = 2y^3 + x*y + J from a Theorem 2 report.
 
     With r = (2500*I9)^(-1/6), determined up to sign, y_new = r and x_new =
@@ -132,10 +108,10 @@ def map_painleve2(report: InvariantReport, samples: int = DEFAULT_SAMPLES,
     for sign, tag in ((1, "J+"), (-1, "J-")):
         j = sign * J
         x_new = normalize(first - sp.Rational(3, 2) * j / r)
-        cands.append(_checked(PointMap(x_new, r, branch=tag, J=j)))
+        cands.append(PointMap(x_new, r, branch=tag, J=j))
         if J == 0:
             break
-    return _arbitrate(report.ode, "painleve2", cands, samples, seed, precision)
+    return _arbitrate(report.ode, "painleve2", cands, seed)
 
 
 def _at(poly, images: list[FracElement], K) -> FracElement:
@@ -153,7 +129,8 @@ def _at(poly, images: list[FracElement], K) -> FracElement:
 
 def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
     """Equation in (x, y) whose solutions are carried onto solutions of
-    ``target`` by ``pmap``; used to generate disguised test instances.
+    ``target`` by ``pmap``; used to generate disguised test instances and,
+    by :func:`verify_map`, to certify maps.
 
     y'' = q(x, y, p) with q = (rhs*u^3 - a2*u + v*b2)/det, where u and v
     are the total derivatives of x_new and y_new, a2 and b2 the p-parts of
@@ -209,71 +186,33 @@ def pullback_ode(target: OdeCubic, pmap: PointMap) -> OdeCubic:
 
 
 def verify_map(source: OdeCubic, target: str, pmap: PointMap,
-               samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-               precision: int = 60):
-    """Push second-derivative jets forward through ``pmap`` numerically.
+               seed: int = DEFAULT_SEED):
+    """Certify that ``pmap`` carries ``source`` onto the ``target`` class.
 
-    At each sampled (x, y, y') the source equation supplies y''; the chain
-    rule transports the jet to (y_new', y_new'') and the target residual is
-    evaluated.  Passes iff every residual is below ``RESIDUAL_TOLERANCE``
-    relative to the largest term magnitude.  Returns (passed, max relative
-    residual).
+    The target equation, pulled back through the map, must have the
+    source's four coefficients; each difference is zero-tested.  Returns
+    ``(passed, detail)``: ``(False, reason)`` if a difference is nonzero,
+    else ``(None, reason)`` if one has no non-singular sample point, else
+    ``(True, "exact")`` if all four reduce to 0 and ``(True, "sampled")``
+    if the rest vanish at every sample point.  A map with zero Jacobian
+    raises :class:`DegenerateMap`, from :func:`pullback_ode`.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if target not in TARGET_RHS:
+    if target == "painleve1":
+        canonical = painleve1()
+    elif target == "painleve2":
+        canonical = painleve2(0 if pmap.J is None else pmap.J)
+    else:
         raise ValueError(f"unknown target class {target!r}")
-    xm, ym = sp.sympify(pmap.x_new), sp.sympify(pmap.y_new)
-    pieces = {
-        "xm": xm, "ym": ym,
-        "xm_x": sp.diff(xm, X), "xm_y": sp.diff(xm, Y),
-        "ym_x": sp.diff(ym, X), "ym_y": sp.diff(ym, Y),
-        "xm_xx": sp.diff(xm, X, 2), "xm_xy": sp.diff(xm, X, Y),
-        "xm_yy": sp.diff(xm, Y, 2),
-        "ym_xx": sp.diff(ym, X, 2), "ym_xy": sp.diff(ym, X, Y),
-        "ym_yy": sp.diff(ym, Y, 2),
-        "rhs": source.rhs(),
-    }
-    free = set().union(*(e.free_symbols for e in pieces.values())) - {P}
-    j_val = sp.sympify(pmap.J) if pmap.J is not None else sp.Integer(0)
-    free |= j_val.free_symbols
-    # one tape for all of them: the pieces share most of their subexpressions
-    tape = compile_numeric(sp.Tuple(*pieces.values(), j_val), precision)
-    rng = random.Random(seed)
-    prec = precision
-    guard = mpmath.mpf(10) ** -20
-    max_rel = mpmath.mpf(0)
-    good = 0
-    for _ in range(samples * 10):
-        if good >= samples:
-            break
-        point = {s: random_rational(rng) for s in sorted(free, key=str)}
-        point[P] = random_rational(rng, -1, 1)
-        try:
-            with mpmath.workdps(prec):
-                at = numeric_point(point)
-                *vals, jv = tape(at, [mpmath.mpf(0)])
-                val = dict(zip(pieces, vals))
-                p0 = at[P]
-                q0 = val["rhs"]
-                u = val["xm_x"] + p0 * val["xm_y"]
-                v = val["ym_x"] + p0 * val["ym_y"]
-                if abs(u) < guard:
-                    continue
-                a2 = (val["ym_xx"] + 2 * p0 * val["ym_xy"] + p0**2 * val["ym_yy"]
-                      + q0 * val["ym_y"])
-                b2 = (val["xm_xx"] + 2 * p0 * val["xm_xy"] + p0**2 * val["xm_yy"]
-                      + q0 * val["xm_y"])
-                y1 = v / u
-                y2 = (a2 * u - v * b2) / u**3
-                t = TARGET_RHS[target](val["xm"], val["ym"], y1, jv)
-                scale = max(abs(y2), abs(t), mpmath.mpf(1))
-                rel = abs(y2 - t) / scale
-        except (PoleAtPoint, EvenRootOfNegative, ZeroDivisionError):
-            continue
-        good += 1
-        if rel > max_rel:
-            max_rel = rel
-    if good == 0:
-        raise AllSamplesSingular("no valid sample point in the search budget")
-    return bool(max_rel < RESIDUAL_TOLERANCE), max_rel
+    pulled = pullback_ode(canonical, pmap)
+    verdicts = {}
+    for name in "PQRS":
+        v = is_identically_zero(getattr(source, name) - getattr(pulled, name),
+                                seed=seed)
+        if v.is_nonzero:
+            return False, f"coefficient {name} differs: {v.note}"
+        verdicts[name] = v
+    for name, v in verdicts.items():
+        if v.is_unknown and not v.samples:
+            return None, f"coefficient {name}: {v.note}"
+    exact = all(v.is_zero for v in verdicts.values())
+    return True, "exact" if exact else "sampled"

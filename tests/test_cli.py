@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
+from painleq.canonical import painleve1
 from painleq.cli import run_cli
 from painleq.exprkernel import normalize
 from painleq.invariants import InvariantPipeline
-from painleq.parsing import parse_expression
+from painleq.parsing import parse_expression, to_grammar
+from painleq.transform import PointMap, pullback_ode
 
 
 def run(argv):
@@ -113,7 +115,7 @@ def test_map_as_printed_flag_fails_arbitration():
 def test_map_corrected_succeeds():
     code, doc = run_json(["map", "--rhs", "2*y^3 + x*y + 1"])
     assert code == 0
-    assert doc["map"]["max_residual"] < 1e-9
+    assert doc["map"]["certificate"] == "exact"
     assert doc["invariants"]["J"] == "1"
 
 
@@ -137,7 +139,7 @@ def test_verify_pass_and_fail():
     code, doc = run_json(["verify", "--rhs", "6*y^2 + x",
                           "--target", "painleve1",
                           "--x-new", "x", "--y-new", "y"])
-    assert code == 0 and doc["map"]["max_residual"] == 0.0
+    assert code == 0 and doc["map"]["certificate"] == "exact"
     code, _ = run(["verify", "--rhs", "6*y^2 + x", "--target", "painleve1",
                    "--x-new", "x", "--y-new=-y"])
     assert code == 2
@@ -148,6 +150,29 @@ def test_verify_painleve2_with_parameter():
                           "--target", "painleve2",
                           "--x-new", "x", "--y-new", "y", "--J", "5"])
     assert code == 0
+
+
+def _disguised_painleve1(x_new, y_new) -> str:
+    """Painleve I pulled back through (x_new, y_new), as --rhs text."""
+    pm = PointMap(parse_expression(x_new), parse_expression(y_new))
+    return to_grammar(pullback_ode(painleve1(), pm).rhs())
+
+
+def test_verify_certifies_exact_where_the_map_is_complex_on_the_box():
+    rhs = _disguised_painleve1("x", "y*(-x)^(1/2)")
+    code, doc = run_json(["verify", "--rhs", rhs, "--target", "painleve1",
+                          "--x-new", "x", "--y-new", "y*(-x)^(1/2)"])
+    assert code == 0 and doc["map"]["certificate"] == "exact"
+    assert doc["warnings"] == ["verification passed"]
+
+
+def test_verify_abstains_with_its_reason():
+    rhs = _disguised_painleve1("x^2", "y + (1-x)^(1/2)")
+    code, doc = run_json(["verify", "--rhs", rhs, "--target", "painleve1",
+                          "--x-new", "x^2", "--y-new", "-y - (1-x)^(1/2)"])
+    assert code == 3 and doc["map"]["certificate"] is None
+    assert doc["warnings"] == ["verification abstained: coefficient P: "
+                               "no non-singular sample point found"]
 
 
 def test_pullback_round_trips_through_classify():
@@ -175,9 +200,11 @@ def test_pullback_round_trips_through_classify():
      "--x-new", "x", "--y-new", "0"],
     ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",  # undefined map
      "--x-new", "1/(x-x)", "--y-new", "y"],
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",  # map holds p
+     "--x-new", "x+p", "--y-new", "y"],
     ["classify", "--rhs", "1/(sin(y)^2+cos(y)^2-1)"],  # undefined once reduced
     ["classify", "--P", "1/(sin(y)^2+cos(y)^2-1)"],
-    ["map", "--rhs", "6*y^2+x", "--samples", "0"],  # numeric options
+    ["map", "--rhs", "6*y^2+x", "--samples", "0"],  # removed numeric flags
     ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
      "--x-new", "x", "--y-new", "y", "--samples=-3"],
     ["map", "--rhs", "6*y^2+x", "--precision", "8"],
@@ -199,17 +226,15 @@ def test_pullback_round_trips_through_classify():
      "--x-new", "x", "--y-new", "y", "--p2zam-as-printed"],
     ["pullback", "--rhs", "6*y^2+x", "--x-new", "x+y^2", "--y-new", "y",
      "--seed", "5"],                                  # seeds nothing
+    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
+     "--x-new", "x", "--y-new", "y", "--precision", "30", "--samples", "1"],
+    ["classify", "--rhs", "6*y^2 + k*x", "--param", "kk=0"],  # names that
+    ["classify", "--rhs", "6*y^2 + k*x", "--param", "1=2"],   # cannot occur
+    ["classify", "--rhs", "6*y^2 + k*x", "--param", "sin=1"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)
     assert code == 1
-
-
-def test_verify_accepts_the_precision_floor():
-    code, _ = run(["verify", "--rhs", "6*y^2+x", "--target", "painleve1",
-                   "--x-new", "x", "--y-new", "y", "--precision", "30",
-                   "--samples", "1"])
-    assert code == 0
 
 
 def test_trigonometric_identity_input_ends_in_time():

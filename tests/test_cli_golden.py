@@ -62,8 +62,6 @@ _TEST_CLI = [
      "--x-new", "x", "--y-new", "y", "--J", "5", "--json"],
     ["pullback", "--rhs", "6*y^2 + x", "--x-new", "x + y^2", "--y-new", "y",
      "--json"],
-    ["verify", "--rhs", "6*y^2+x", "--target", "painleve1", "--x-new", "x",
-     "--y-new", "y", "--precision", "30", "--samples", "1"],
     ["invariants", "--rhs", "2*y^3 + x*y + a"],
 ]
 

@@ -14,7 +14,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
-from painleq.exprkernel import (DEFAULT_SEED, EvenRootOfNegative, PoleAtPoint,
+from painleq.exprkernel import (DEFAULT_SEED, SAMPLE_COUNT,
+                                EvenRootOfNegative, PoleAtPoint,
                                 X, Y, RationalField,
                                 compile_numeric,
                                 evaluate_numeric, field_for,
@@ -128,6 +129,15 @@ def test_zero_verdict_tristate():
     v = is_identically_zero(X)
     with pytest.raises(TypeError):
         bool(v)
+
+
+def test_zero_verdict_counts_its_sample_points():
+    """An undecided verdict says whether any sample point agreed with 0."""
+    sampled = is_identically_zero(sp.sin(2 * Y) - 2 * sp.sin(Y) * sp.cos(Y))
+    assert sampled.is_unknown and sampled.samples == SAMPLE_COUNT
+    no_point = is_identically_zero(sp.sqrt(1 - X))
+    assert no_point.is_unknown and no_point.samples == 0
+    assert is_identically_zero(X - X).samples == 0
 
 
 def test_zero_verdict_trig_nonzero():
@@ -527,11 +537,6 @@ def test_tape_matches_closure_compiler(reference_compile, e, kind, data):
     point = {X: random_rational(rng), Y: random_rational(rng)}
     want = _evaluated(reference_compile(e), point)
     assert _evaluated(compile_numeric(e, 60), point) == want
-    # a tuple is one tape: each entry's value, and the largest scale
-    value, scale = _evaluated(compile_numeric(sp.Tuple(e, atom, e), 60), point)
-    other = _evaluated(reference_compile(atom), point)
-    assert value == (want[0], other[0], want[0])
-    assert scale == max(want[1], other[1])
 
 
 @pytest.mark.parametrize("e, x", [

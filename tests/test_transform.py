@@ -1,4 +1,6 @@
-"""Map emission, pullback generation and numeric verification."""
+"""Map emission, pullback generation and certification."""
+
+from dataclasses import replace
 
 import pytest
 import sympy as sp
@@ -43,8 +45,7 @@ def test_map_painleve1_identity_on_itself():
     rep = check_painleve1(cn.painleve1())
     m = map_painleve1(rep)
     assert zero(m.x_new - X) and zero(m.y_new - Y)
-    assert m.branch == "y+" and m.verified
-    assert m.max_residual == 0.0
+    assert m.branch == "y+" and m.certificate == "exact"
 
 
 def test_map_painleve1_exact_on_negative_affine_disguise():
@@ -52,11 +53,11 @@ def test_map_painleve1_exact_on_negative_affine_disguise():
     one, with no (-1)**(1/5) and no tenth root of I1 left in y_new."""
     pm = PointMap(-sp.Rational(3, 2) * X - Y + 1, X - Y / 2)
     src = pullback_ode(cn.painleve1(), pm)
-    m = map_painleve1(check_painleve1(src), samples=8)
+    m = map_painleve1(check_painleve1(src))
     assert zero(m.x_new + (3 * X + 2 * Y - 2) / 2)
     assert not m.x_new.has(sp.Integer(-1) ** sp.Rational(1, 5))
     assert zero(m.y_new - (X - Y / 2)) or zero(m.y_new + (X - Y / 2))
-    assert m.verified and m.max_residual < 1e-8
+    assert m.certificate == "exact"
 
 
 @pytest.mark.parametrize("sign, branch, calls", [(1, "y+", 1), (-1, "y-", 2)])
@@ -73,11 +74,25 @@ def test_arbitration_stops_at_first_verified_branch(monkeypatch, sign, branch,
     src = pullback_ode(cn.painleve1(), pm)
     report = check_painleve1(src)
     monkeypatch.setattr(transform, "verify_map", counting)
-    m = map_painleve1(report, samples=8)
+    m = map_painleve1(report)
     assert len(seen) == calls and seen[-1] == branch == m.branch
-    assert m.x_new == X + 1 and m.y_new == sign * Y and m.verified
-    ok, res = verify_map(src, "painleve1", pm, samples=8)
-    assert ok and m.max_residual == float(res)
+    assert m.x_new == X + 1 and m.y_new == sign * Y
+    assert verify_map(src, "painleve1", pm) == (True, m.certificate)
+    assert m.certificate == "exact"
+
+
+def test_arbitration_passes_over_an_abstaining_branch():
+    """A branch with no real sample point is not certified; the next one
+    is tried, and when none verifies the error says why each did not."""
+    pm = PointMap(X**2, Y + sp.sqrt(1 - X))
+    src = pullback_ode(cn.painleve1(), pm)
+    abstains = PointMap(X**2, -Y - sp.sqrt(1 - X), branch="y-")
+    m = transform._arbitrate(src, "painleve1",
+                             [abstains, replace(pm, branch="y+")], 0)
+    assert (m.branch, m.certificate) == ("y+", "exact")
+    with pytest.raises(BranchVerificationFailed,
+                       match="y-: coefficient P: no non-singular sample"):
+        transform._arbitrate(src, "painleve1", [abstains], 0)
 
 
 def test_map_painleve1_rejects_failed_report():
@@ -98,7 +113,7 @@ def test_map_painleve2_identity_on_itself():
     rep = check_painleve2(cn.painleve2(1))
     m = map_painleve2(rep)
     assert zero(m.x_new - X) and zero(m.y_new - Y)
-    assert m.verified and zero(m.J - 1)
+    assert m.certificate == "exact" and zero(m.J - 1)
 
 
 def test_map_painleve2_zero_parameter_single_branch():
@@ -109,9 +124,10 @@ def test_map_painleve2_zero_parameter_single_branch():
 
 def test_map_painleve2_as_printed_fails_verification():
     rep = check_painleve2(cn.painleve2(1))
-    # the error lists the residual of every branch
+    # the error says which coefficient differs on every branch
     with pytest.raises(BranchVerificationFailed,
-                       match="J\\+: residual .*; J-: residual"):
+                       match="J\\+: coefficient P differs: .*; "
+                             "J-: coefficient P differs: "):
         map_painleve2(rep, as_printed=True)
 
 
@@ -125,12 +141,12 @@ def test_jacobian_in_the_field():
 
 def test_verify_identity_zero_residual():
     ok, res = verify_map(cn.painleve1(), "painleve1", PointMap(X, Y))
-    assert ok and res == 0
+    assert (ok, res) == (True, "exact")
 
 
 def test_verify_wrong_sign_branch_fails():
     ok, res = verify_map(cn.painleve1(), "painleve1", PointMap(X, -Y))
-    assert not ok and res > 1e-9
+    assert ok is False and res.startswith("coefficient P differs")
 
 
 def test_verify_rejects_unknown_target():
@@ -138,9 +154,30 @@ def test_verify_rejects_unknown_target():
         verify_map(cn.painleve1(), "painleve4", PointMap(X, Y))
 
 
-def test_verify_rejects_zero_samples():
-    with pytest.raises(ValueError):
-        verify_map(cn.painleve1(), "painleve1", PointMap(X, Y), samples=0)
+def test_verify_is_exact_where_the_map_has_no_real_value_on_the_box():
+    """Under sqrt(-x) the map is complex at every sample point, but the
+    pullback's differences reduce to 0 in the field."""
+    pm = PointMap(X, Y * sp.sqrt(-X))
+    src = pullback_ode(cn.painleve1(), pm)
+    assert verify_map(src, "painleve1", pm) == (True, "exact")
+
+
+def test_verify_abstains_without_a_real_sample_point():
+    """The wrong branch differs from the source only under sqrt(1 - x),
+    which has no real value where the zero test samples."""
+    src = pullback_ode(cn.painleve1(), PointMap(X**2, Y + sp.sqrt(1 - X)))
+    ok, reason = verify_map(src, "painleve1",
+                            PointMap(X**2, -Y - sp.sqrt(1 - X)))
+    assert ok is None
+    assert reason == "coefficient P: no non-singular sample point found"
+
+
+def test_verify_symbolic_kamke_map_is_sampled():
+    """The sign-corrected Kamke family with its parameters symbolic: the
+    differences hold sqrt(a), so they vanish only at the sample points."""
+    cls = classify(cn.kamke_6_9_sign_corrected())
+    m = map_painleve2(cls.reports["painleve2"])
+    assert (m.branch, m.certificate) == ("J-", "sampled")
 
 
 FUZZ_MAPS = [
@@ -164,8 +201,8 @@ def test_round_trip_painleve2(idx):
     cls = classify(src)
     assert cls.kind == "painleve2"
     assert zero(cls.J - 1) or zero(cls.J + 1)
-    m = map_painleve2(cls.reports["painleve2"], samples=8)
-    assert m.verified and m.max_residual < 1e-8
+    m = map_painleve2(cls.reports["painleve2"])
+    assert m.certificate == "exact"
 
 
 @pytest.mark.parametrize("idx", [0, 3, 5, 9])
@@ -174,8 +211,8 @@ def test_round_trip_painleve1(idx):
     src = pullback_ode(cn.painleve1(), pm)
     cls = classify(src)
     assert cls.kind == "painleve1"
-    m = map_painleve1(cls.reports["painleve1"], samples=8)
-    assert m.verified and m.max_residual < 1e-8
+    m = map_painleve1(cls.reports["painleve1"])
+    assert m.certificate == "exact"
 
 
 def test_composition_consistency():
@@ -184,14 +221,13 @@ def test_composition_consistency():
     composition must pass."""
     pm = PointMap(X * sp.sin(Y), X * sp.cos(Y))
     src = pullback_ode(cn.painleve1(), pm)
-    emitted = map_painleve1(classify(src).reports["painleve1"], samples=8)
+    emitted = map_painleve1(classify(src).reports["painleve1"])
     # src coordinates (x, y) relate to canonical ones through pm, so the
     # composition sends canonical -> canonical only if emitted inverts pm;
     # equivalently emitted must agree with pm up to the arbitrated sign
     assert zero(emitted.x_new - pm.x_new)
     assert zero(emitted.y_new - pm.y_new) or zero(emitted.y_new + pm.y_new)
-    ok, res = verify_map(src, "painleve1", emitted, samples=8)
-    assert ok and res < 1e-8
+    assert verify_map(src, "painleve1", emitted) == (True, "exact")
 
 
 def test_pullback_output_is_derivative_free():
@@ -365,42 +401,3 @@ def test_pullback_through_roots_is_equal_to_reference(pmap):
 def test_pullback_rejects_a_map_holding_the_derivative():
     with pytest.raises(NotCubicInDerivative):
         pullback_ode(cn.painleve1(), PointMap(X + P**2 * Y, Y))
-
-
-@pytest.mark.parametrize("emit, passes", [
-    (lambda: map_painleve1(check_painleve1(pullback_ode(
-        cn.painleve1(), PointMap(X + 2 * Y**2, Y)))), True),
-    (lambda: map_painleve2(check_painleve2(pullback_ode(
-        cn.painleve2(2), PointMap(X * sp.sin(Y), X * sp.cos(Y))))), True),
-    (lambda: map_painleve2(check_painleve2(cn.painleve2(1)), as_printed=True),
-     False),
-], ids=["PI-shear", "PII-polar", "PII-as-printed"])
-def test_verify_on_one_tape_matches_per_piece_closures(monkeypatch,
-                                                       reference_compile,
-                                                       emit, passes):
-    """Every branch the emission verifies gets the verdict and the residual,
-    to the last digit, of the pieces evaluated one closure tree each."""
-    calls, real = [], transform.verify_map
-
-    def per_piece(e, precision):
-        """verify_map's former compilation: one closure tree per piece."""
-        runs = [reference_compile(a, precision) for a in e.args]
-        return lambda v, s: tuple(run(v, s) for run in runs)
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(transform, "verify_map", record)
-    try:
-        emit()
-    except BranchVerificationFailed:
-        assert not passes
-    monkeypatch.undo()
-    assert calls
-    for args, kwargs in calls:
-        ok, res = real(*args, **kwargs)
-        with monkeypatch.context() as m:
-            m.setattr(transform, "compile_numeric", per_piece)
-            want = real(*args, **kwargs)
-        assert (ok, repr(res)) == (want[0], repr(want[1]))
-    assert ok == passes
