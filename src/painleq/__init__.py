@@ -5,7 +5,7 @@ invariants.
 ``painleq.classify`` is the submodule; the classifier itself is
 ``painleq.classify.classify``."""
 
-from .exprkernel import (DEFAULT_SEED, X, Y, P, ZeroVerdict, evaluate_numeric,
+from .exprkernel import (DEFAULT_SEED, X, Y, P, ZeroVerdict,
                          is_identically_zero, normalize)
 from .parsing import (OdeCubic, parse_expression, extract_cubic_coefficients,
                       to_grammar)
@@ -18,7 +18,7 @@ from . import canonical, classify
 
 __all__ = [
     "DEFAULT_SEED", "X", "Y", "P", "ZeroVerdict",
-    "evaluate_numeric", "is_identically_zero", "normalize",
+    "is_identically_zero", "normalize",
     "OdeCubic", "parse_expression", "extract_cubic_coefficients", "to_grammar",
     "InvariantPipeline", "WEIGHTS",
     "Classification", "InvariantReport", "check_painleve1", "check_painleve2",

@@ -152,6 +152,11 @@ def _finite(e: sp.Expr, what: str) -> sp.Expr:
     if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise UsageError(f"{what} is undefined: it divides by zero or takes "
                          "ln(0)")
+    # the program works over the reals: sympy writes (-1)^(1/2) as I and
+    # ln(-2) as ln(2) + I*pi
+    if e.has(sp.I):
+        raise UsageError(f"{what} is not real: it takes an even root or ln "
+                         "of a negative number")
     return e
 
 

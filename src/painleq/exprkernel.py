@@ -4,11 +4,8 @@ Expressions are immutable sympy objects over the plane variables ``x``, ``y``
 (plus the derivative placeholder ``p`` at parse time) with exact rational
 constants and free single-letter parameters.  This module provides the
 services the rest of the pipeline is built on: exact rational-function
-arithmetic with differentiation, canonical normalization, sound
-zero-testing, and high-precision numeric evaluation with real root branches
-(:func:`compile_numeric` turns an expression into a tape of its distinct
-subexpressions once, so that evaluating it at many points walks no
-expression tree and computes each subexpression once).
+arithmetic with differentiation, canonical normalization and sound
+zero-testing.
 
 Exact algebra runs in a :class:`RationalField`, one ``FracField`` over ZZ
 per set of expressions: numerators and denominators have integer
@@ -23,6 +20,10 @@ prime, so a reduced numerator of 0 is an exact zero test.  A nonzero
 numerator that still holds atoms is certified by sampling, because distinct
 atoms need not be algebraically independent (``sin(2*y)`` and ``sin(y)``),
 except when they are one ``cos(u)``/``sin(u)`` pair of a rational ``u``.
+The sampler evaluates that reduced numerator itself, term by term, at
+random rational points with real root branches; each generator is computed
+once per point from its argument's field element, which the field converts
+once, when it is made.
 :func:`normalize` is one round trip Expr -> field -> Expr, and
 :func:`root_up_to_sign` takes n-th roots by factoring in the field.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Literal, Mapping
+from typing import Literal
 
 import mpmath
 import sympy as sp
@@ -49,9 +50,8 @@ __all__ = [
     "RationalField", "field_for",
     "normalize", "to_expr", "root_up_to_sign",
     "is_identically_zero",
-    "evaluate_numeric", "compile_numeric", "numeric_point",
     "random_rational",
-    "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "MIN_PRECISION",
+    "DEFAULT_SEED", "SAMPLE_COUNT", "SAMPLE_PRECISION", "SAMPLE_MAX_DEN",
     "ZERO_THRESHOLD",
 ]
 
@@ -64,8 +64,7 @@ P = sp.Symbol("p")
 DEFAULT_SEED = 20240
 SAMPLE_COUNT = 12
 SAMPLE_PRECISION = 60
-# the fewest digits evaluate_numeric works at: the threshold needs 30
-MIN_PRECISION = 30
+SAMPLE_MAX_DEN = 10**4
 ZERO_THRESHOLD = Fraction(1, 10**30)
 
 _NONFINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
@@ -373,6 +372,14 @@ class RationalField:
                 if g.base.is_Integer:
                     self._relations.append(
                         (i, q, self.ring.ground_new(int(g.base))))
+        # the argument of every sin, cos, exp and ln and the base of every
+        # root, converted once: the chain rule and the sampler read them
+        self._args: dict[int, FracElement] = {}
+        for i, g in enumerate(gens):
+            if g.func in (sp.sin, sp.cos, sp.exp, sp.log):
+                self._args[i] = self._convert(g.args[0])
+            elif g.is_Pow and g.exp.is_Rational:
+                self._args[i] = self._convert(g.base)
         self._powers: dict[tuple[int, int], object] = {}
         self._gen_diff: dict[tuple[int, sp.Symbol], FracElement] = {}
         self._tables: dict[sp.Symbol, tuple] = {}
@@ -511,24 +518,24 @@ class RationalField:
         elif g.is_Symbol:
             d = K.one
         elif g.func is sp.sin:
-            d = self._gen[sp.cos(g.args[0])] * self._chain(g.args[0], var)
+            d = self._gen[sp.cos(g.args[0])] * self._chain(i, var)
         elif g.func is sp.cos:
-            d = -self._gen[sp.sin(g.args[0])] * self._chain(g.args[0], var)
+            d = -self._gen[sp.sin(g.args[0])] * self._chain(i, var)
         elif g.func is sp.exp:
-            d = gen * self._chain(g.args[0], var)
+            d = gen * self._chain(i, var)
         elif g.func is sp.log:
-            d = self._chain(g.args[0], var) / self._convert(g.args[0])
+            d = self._chain(i, var) / self._args[i]
         elif g.is_Pow and g.exp.is_Rational:
-            b = self._convert(g.base)
-            d = gen * self._chain(g.base, var) / (int(g.exp.q) * b)
+            d = gen * self._chain(i, var) / (int(g.exp.q) * self._args[i])
         else:
             raise ValueError(f"no derivative rule for the atom {g}")
         self._gen_diff[key] = d
         return d
 
-    def _chain(self, u: sp.Expr, var: sp.Symbol) -> FracElement:
-        """d/var of an atom's argument, through the generators it holds."""
-        f = self._convert(u)
+    def _chain(self, i: int, var: sp.Symbol) -> FracElement:
+        """d/var of the argument of generator ``i``, through the generators
+        it holds."""
+        f = self._args[i]
         total = self.K.zero
         for j, gen in enumerate(self.K.gens):
             if f.numer.degree(j) > 0 or f.denom.degree(j) > 0:
@@ -763,10 +770,102 @@ def root_up_to_sign(e: sp.Expr, n: int) -> sp.Expr:
     return out * content ** sp.Rational(1, n) * radicand ** sp.Rational(1, n)
 
 
-def random_rational(rng: random.Random, max_den: int = 10**4) -> Fraction:
-    """A random rational in [1, 2] with denominator at most ``max_den``."""
-    den = rng.randint(1, max_den)
+def random_rational(rng: random.Random) -> Fraction:
+    """A random rational in [1, 2] with denominator at most
+    ``SAMPLE_MAX_DEN``."""
+    den = rng.randint(1, SAMPLE_MAX_DEN)
     return Fraction(rng.randint(den, 2 * den), den)
+
+
+def _sparse(p) -> list[tuple[mpmath.mpf, list[tuple[int, int]]]]:
+    """The terms of the polynomial ``p`` as (coefficient, [(generator index,
+    power)]), the powers that are 0 left out.  Call it at the working
+    precision of the sampler."""
+    return [(mpmath.mpf(c), [(i, k) for i, k in enumerate(m) if k])
+            for m, c in p.items()]
+
+
+_FUNCTIONS = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp,
+              sp.log: mpmath.log}
+
+
+class _Point:
+    """The values of a field's generators and of their powers at one sample
+    point, each computed once, when it is first needed.  Use it under
+    ``mpmath.workdps(SAMPLE_PRECISION)``.
+
+    A symbol takes the point's value, and sin, cos, exp and ln the value of
+    their argument's field element.  For a root ``r = b**(1/q)``, ``r**k`` is
+    the real value of ``b**(k/q)`` in lowest terms, the power sympy writes
+    for it: ``r**2`` of ``sqrt(1 - x)`` is ``1 - x``.  Odd roots of negative
+    values take the real branch; an even root of a negative value raises
+    EvenRootOfNegative, and an argument whose denominator lies within
+    ``guard`` of 0, or a logarithm whose argument lies below ``guard``,
+    raises PoleAtPoint.
+    """
+
+    def __init__(self, field: RationalField, point: dict[sp.Symbol, Fraction],
+                 guard: mpmath.mpf):
+        self.field, self.point, self.guard = field, point, guard
+        self.powers: dict[tuple[int, int], mpmath.mpf] = {}
+        self.args: dict[int, mpmath.mpf] = {}
+
+    def terms(self, terms) -> list[mpmath.mpf]:
+        """The value of each term of a polynomial given by :func:`_sparse`."""
+        out = []
+        for c, factors in terms:
+            for i, k in factors:
+                c *= self.power(i, k)
+            out.append(c)
+        return out
+
+    def power(self, i: int, k: int) -> mpmath.mpf:
+        v = self.powers.get((i, k))
+        if v is None:
+            v = self.powers[(i, k)] = self._power(i, k)
+        return v
+
+    def _argument(self, i: int) -> mpmath.mpf:
+        """The value of generator ``i``'s argument, or of a root's base."""
+        v = self.args.get(i)
+        if v is None:
+            f = self.field._args[i]
+            num, den = (mpmath.fsum(self.terms(_sparse(p)))
+                        for p in (f.numer, f.denom))
+            if abs(den) < self.guard:
+                raise PoleAtPoint(f"pole in the argument of "
+                                  f"{self.field.symbols[i]} at sample point")
+            v = self.args[i] = num / den
+        return v
+
+    def _power(self, i: int, k: int) -> mpmath.mpf:
+        g = self.field.symbols[i]
+        if g.is_Pow and g.exp.is_Rational:
+            q = int(g.exp.q)
+            d = gcd(k, q)
+            m, n = k // d, q // d
+            b = self._argument(i)
+            if n == 1:
+                return b ** m
+            if b < 0:
+                if n % 2 == 0:
+                    raise EvenRootOfNegative(
+                        f"even root of negative radicand in {g}**{k}")
+                return (-mpmath.root(-b, n)) ** m
+            return mpmath.root(b, n) ** m
+        if k > 1:
+            return self.power(i, 1) ** k
+        if g.is_Symbol:
+            q = self.point[g]
+            return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+        if g.func in _FUNCTIONS:
+            u = self._argument(i)
+            if g.func is sp.log and u < self.guard:
+                raise PoleAtPoint(f"ln of non-positive value in {g}")
+            return _FUNCTIONS[g.func](u)
+        if g.is_NumberSymbol:
+            return mpmath.mpf(str(sp.N(g, SAMPLE_PRECISION + 10)))
+        raise ValueError(f"cannot evaluate node {g!r}")
 
 
 def is_identically_zero(e: sp.Expr | FracElement,
@@ -777,9 +876,11 @@ def is_identically_zero(e: sp.Expr | FracElement,
     numerator reduced modulo the field's relations decides whenever it can:
     0 is zero, and a nonzero numerator without atoms is nonzero.  A field
     element n/d is zero exactly when n is, so only its numerator is reduced,
-    and no gcd is taken.  A nonzero numerator holding atoms is evaluated at
-    ``SAMPLE_COUNT`` random non-singular rational points in [1, 2], which
-    distinguishes NonZero from Unknown.
+    and no gcd is taken.  A nonzero numerator holding atoms is evaluated
+    term by term (see :class:`_Point`) at ``SAMPLE_COUNT`` random
+    non-singular rational points in [1, 2] of the symbols its generators
+    hold, which distinguishes NonZero from Unknown: a sample is nonzero when
+    the sum of the terms exceeds ``ZERO_THRESHOLD`` times the largest term.
     """
     if isinstance(e, FracElement):
         field = _field_on(e.field.symbols)
@@ -797,24 +898,27 @@ def is_identically_zero(e: sp.Expr | FracElement,
         return ZeroVerdict("zero", "canonical form vanishes")
     if field.is_exact(num):
         return ZeroVerdict("nonzero", "canonical form is a nonzero rational function")
-    num = to_expr(num)
-    symbols = sorted(num.free_symbols, key=str)
-    run = compile_numeric(num, SAMPLE_PRECISION)
+    symbols = sorted(set().union(*(g.free_symbols for g, d in
+                                   zip(field.symbols, num.degrees()) if d)),
+                     key=str)
     tol = mpmath.mpf(ZERO_THRESHOLD.numerator) / mpmath.mpf(ZERO_THRESHOLD.denominator)
+    with mpmath.workdps(SAMPLE_PRECISION):
+        guard = mpmath.mpf(10) ** (-(SAMPLE_PRECISION // 2))
+        terms = _sparse(num)
     rng = random.Random(seed)
     tested = 0
     for _ in range(SAMPLE_COUNT * 4):
         if tested >= SAMPLE_COUNT:
             break
-        point = {s: sp.Rational(random_rational(rng)) for s in symbols}
-        scale = [mpmath.mpf(0)]
+        point = {s: random_rational(rng) for s in symbols}
         try:
             with mpmath.workdps(SAMPLE_PRECISION):
-                val = run(numeric_point(point), scale)
+                values = _Point(field, point, guard).terms(terms)
+                val, scale = mpmath.fsum(values), max(map(abs, values))
         except (PoleAtPoint, EvenRootOfNegative):
             continue
         tested += 1
-        if abs(val) > tol * max(scale[0], mpmath.mpf(1)):
+        if abs(val) > tol * max(scale, mpmath.mpf(1)):
             return ZeroVerdict("nonzero", f"sample {tested} exceeds tolerance",
                                tested)
     if tested == 0:
@@ -822,165 +926,3 @@ def is_identically_zero(e: sp.Expr | FracElement,
     return ZeroVerdict("unknown",
                        f"{tested} samples below tolerance but not proved zero",
                        tested)
-
-
-def evaluate_numeric(e: sp.Expr, point: Mapping[sp.Symbol | str, object],
-                     precision: int = SAMPLE_PRECISION) -> mpmath.mpf:
-    """Evaluate at an exact rational point to ``precision`` decimal digits.
-
-    Odd roots of negative reals take the real branch; even roots of negative
-    radicands raise EvenRootOfNegative; denominators below the underflow guard
-    raise PoleAtPoint instead of returning garbage.
-    """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
-    run = compile_numeric(e, precision)
-    with mpmath.workdps(precision):
-        return run(numeric_point(point), [mpmath.mpf(0)])
-
-
-def numeric_point(point: Mapping[sp.Symbol | str, object]) -> dict[sp.Symbol, mpmath.mpf]:
-    """An exact rational point as ``mpf`` values, the form that the closures
-    of :func:`compile_numeric` read.  Call it at the working precision they
-    run at."""
-    out = {}
-    for k, v in point.items():
-        q = _to_fraction(v)
-        out[sp.Symbol(k) if isinstance(k, str) else k] = \
-            mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-    return out
-
-
-def compile_numeric(e: sp.Expr, precision: int = SAMPLE_PRECISION):
-    """Compile ``e`` once into an evaluation tape, for evaluation at many
-    points.
-
-    The tape lists the distinct subexpressions of ``e`` in first-visit
-    post-order, so each of them is computed once per point however often it
-    occurs.  The result ``run(point, scale)`` evaluates ``e`` at ``point``, a
-    mapping from symbols to values made by :func:`numeric_point`, and must
-    be called under ``mpmath.workdps(precision)``.  It keeps in
-    ``scale[0]`` the largest magnitude of any subexpression's value, which
-    bounds the rounding error.  Constants are computed here, at
-    ``precision`` digits; sums go through ``fsum`` and products multiply
-    left to right.  Odd roots of negative reals take the real branch; an
-    even root of a negative radicand raises EvenRootOfNegative, and a
-    negative power, root or logarithm of a value below the underflow guard
-    raises PoleAtPoint.
-    """
-    mpf = mpmath.mpf
-    functions = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.exp: mpmath.exp}
-    slots: dict = {}     # subexpression -> its index on the tape
-    values: list = []    # the constants; None where a step computes a value
-    steps: list = []     # (index, step), step(vals, point) -> value
-
-    def slot(t: sp.Expr) -> int:
-        k = slots.get(t)
-        if k is None:
-            made = build(t)
-            k = slots[t] = len(values)
-            if isinstance(made, mpf):
-                values.append(made)
-            else:
-                values.append(None)
-                steps.append((k, made))
-        return k
-
-    def build(t: sp.Expr):
-        if t.is_Rational:
-            return mpf(t.p) / mpf(t.q)
-        if t.is_Float:
-            return mpf(str(t))
-        if t.is_NumberSymbol:
-            return mpf(str(sp.N(t, precision + 10)))
-        if t.is_Symbol:
-            def symbol(vals, v):
-                if t not in v:
-                    raise ValueError(f"no value assigned to symbol {t}")
-                return v[t]
-            return symbol
-        if t.is_Add:
-            terms = [slot(a) for a in t.args]
-            return lambda vals, v: mpmath.fsum([vals[i] for i in terms])
-        if t.is_Mul:
-            first, *rest = [slot(a) for a in t.args]
-
-            def product(vals, v):
-                r = vals[first]
-                for i in rest:
-                    r *= vals[i]
-                return r
-            return product
-        if t.is_Pow:
-            return power(t)
-        if t.func in functions:
-            fn, arg = functions[t.func], slot(t.args[0])
-            return lambda vals, v: fn(vals[arg])
-        if t.func is sp.log:
-            arg = slot(t.args[0])
-
-            def log(vals, v):
-                u = vals[arg]
-                if u < guard:
-                    raise PoleAtPoint(f"ln of non-positive value in {t}")
-                return mpmath.log(u)
-            return log
-        raise ValueError(f"cannot evaluate node {t!r}")
-
-    def power(t: sp.Expr):
-        base, ex = slot(t.base), t.exp
-        if ex.is_Integer:
-            n = int(ex)
-            if n >= 0:
-                return lambda vals, v: vals[base] ** n
-
-            def inverse(vals, v):
-                b = vals[base]
-                if abs(b) < guard:
-                    raise PoleAtPoint(f"denominator {t.base} ~ 0 at sample point")
-                return b ** n
-            return inverse
-        if ex.is_Rational:
-            num, den = int(ex.p), int(ex.q)
-
-            def root(vals, v):
-                b = vals[base]
-                if b < 0:
-                    if den % 2 == 0:
-                        raise EvenRootOfNegative(
-                            f"even root of negative radicand in {t}")
-                    r = -mpmath.root(-b, den)
-                else:
-                    if num < 0 and b < guard:
-                        raise PoleAtPoint(f"radicand {t.base} ~ 0 under negative power")
-                    r = mpmath.root(b, den)
-                if num < 0 and abs(r) < guard:
-                    raise PoleAtPoint(f"root of {t.base} ~ 0 under negative power")
-                return r ** num
-            return root
-        exponent = slot(ex)
-        return lambda vals, v: vals[base] ** vals[exponent]
-
-    with mpmath.workdps(precision):
-        guard = mpf(10) ** (-(precision // 2))
-        out = slot(sp.sympify(e))
-
-    def run(v, s):
-        vals = values.copy()
-        for k, step in steps:
-            vals[k] = step(vals, v)
-        top = max(map(abs, vals))
-        if top > s[0]:
-            s[0] = top
-        return vals[out]
-    return run
-
-
-def _to_fraction(v: object) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, sp.Rational):
-        return Fraction(int(v.p), int(v.q))
-    return Fraction(str(v))

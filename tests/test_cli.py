@@ -231,6 +231,12 @@ def test_pullback_round_trips_through_classify():
     ["classify", "--rhs", "6*y^2 + k*x", "--param", "kk=0"],  # names that
     ["classify", "--rhs", "6*y^2 + k*x", "--param", "1=2"],   # cannot occur
     ["classify", "--rhs", "6*y^2 + k*x", "--param", "sin=1"],
+    ["classify", "--rhs", "(-1)^(1/2)*exp(x) + y^2"],  # the imaginary unit
+    ["map", "--rhs", "(-4)^(1/2)*x + 6*y^2"],
+    ["classify", "--rhs", "a^(1/2)*exp(x) + y^2", "--param", "a=-1"],
+    ["verify", "--rhs", "6*y^2 + x + exp(y)", "--target", "painleve1",
+     "--x-new", "x", "--y-new", "(-1)^(1/2)*y"],
+    ["classify", "--rhs", "ln(-2)*x + 6*y^2"],
 ])
 def test_usage_errors_exit_one(argv):
     code, _ = run(argv)

@@ -63,6 +63,17 @@ _TEST_CLI = [
     ["pullback", "--rhs", "6*y^2 + x", "--x-new", "x + y^2", "--y-new", "y",
      "--json"],
     ["invariants", "--rhs", "2*y^3 + x*y + a"],
+    ["map", "--rhs", "a*y^3 - b*x*y - c*y - d", "--json"],
+    ["verify", "--rhs",
+     "p/x + (16*x^7 - 32*x^6 + 96*x^5*y^2 + 192*x^5*y*(1 - x)^(1/2) "
+     "+ 96*x^5*(1 - x) + 16*x^5 - 192*x^4*y^2 - 384*x^4*y*(1 - x)^(1/2) "
+     "- 192*x^4*(1 - x) + 96*x^3*y^2 + 192*x^3*y*(1 - x)^(1/2) "
+     "+ 96*x^3*(1 - x) + 3*x*(1 - x)^(1/2) - 2*(1 - x)^(1/2))"
+     "/(4*x^3 - 8*x^2 + 4*x)",
+     "--target", "painleve1", "--x-new", "x^2", "--y-new",
+     "-y - (1-x)^(1/2)"],
+    ["classify", "--rhs", "2*y^3 + x*y + 1 + sin(2*x) - 2*sin(x)*cos(x)",
+     "--json"],
 ]
 
 CORPUS = [*_WORKLOAD, *([*argv, "--json"] for argv in _WORKLOAD), *_TEST_CLI]

@@ -14,12 +14,10 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
-from painleq.exprkernel import (DEFAULT_SEED, SAMPLE_COUNT,
-                                EvenRootOfNegative, PoleAtPoint,
-                                X, Y, RationalField,
-                                compile_numeric,
-                                evaluate_numeric, field_for,
-                                is_identically_zero, normalize, numeric_point,
+from painleq import exprkernel
+from painleq.exprkernel import (DEFAULT_SEED, SAMPLE_COUNT, SAMPLE_PRECISION,
+                                X, Y, RationalField, field_for,
+                                is_identically_zero, normalize,
                                 random_rational, root_up_to_sign,
                                 to_expr)
 
@@ -251,11 +249,13 @@ def atom_polys(draw, kind):
 
 
 def _agree(e, f, rng) -> bool:
-    """``e`` and ``f`` agree numerically at three rational points of the box."""
+    """``e`` and ``f`` agree numerically at three rational points of the box,
+    evaluated by sympy's ``N``."""
     for _ in range(3):
-        point = {X: random_rational(rng), Y: random_rational(rng)}
-        u, v = evaluate_numeric(e, point), evaluate_numeric(f, point)
-        if abs(u - v) > mpmath.mpf(10)**-40 * max(1, abs(u), abs(v)):
+        point = {X: sp.Rational(random_rational(rng)),
+                 Y: sp.Rational(random_rational(rng))}
+        u, v = (sp.N(g, 50, subs=point) for g in (e, f))
+        if abs(u - v) > sp.Float("1e-40", 50) * max(1, abs(u), abs(v)):
             return False
     return True
 
@@ -281,23 +281,6 @@ def test_normalize_agrees_numerically(kind1, kind2, data):
     assert _agree(normalize(e), e, random.Random(DEFAULT_SEED))
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_exprs(), st.sampled_from(sorted(ATOMS)), st.data())
-def test_compiled_evaluation_agrees_with_sympy(e, kind, data):
-    e = e + data.draw(atom_polys(kind)) + sp.pi / sp.E
-    run = compile_numeric(e, 60)
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    point = {X: random_rational(rng), Y: random_rational(rng)}
-    with mpmath.workdps(60):
-        scale = [mpmath.mpf(0)]
-        value = run(numeric_point(point), scale)
-        assert scale[0] >= abs(value)
-    ref = sp.N(e.subs({k: sp.Rational(v) for k, v in point.items()}), 80)
-    with mpmath.workdps(80):
-        ref = mpmath.mpf(str(ref))
-        assert abs(value - ref) <= mpmath.mpf(10)**-50 * max(1, abs(ref))
-
-
 # one atom of each kind a field holds; exp(y) and exp(2*y) share a generator
 FIELD_ATOMS = {
     "trig": (sp.sin(Y), sp.cos(Y)), "exp": (sp.exp(Y), sp.exp(2 * Y)),
@@ -308,13 +291,13 @@ A, B = sp.symbols("a b")
 
 
 @st.composite
-def field_elements(draw):
-    """Reduced elements over x, y, a, b and up to three kinds of atoms, with
-    numerators of up to five terms (or none) and a denominator that is 1, a
-    constant, a monomial or a polynomial."""
-    kinds = draw(st.lists(st.sampled_from(sorted(FIELD_ATOMS)), max_size=3,
+def field_elements(draw, atoms=FIELD_ATOMS):
+    """Reduced elements over x, y, a, b and up to three kinds of ``atoms``,
+    with numerators of up to five terms (or none) and a denominator that is
+    1, a constant, a monomial or a polynomial."""
+    kinds = draw(st.lists(st.sampled_from(sorted(atoms)), max_size=3,
                           unique=True))
-    field = field_for(X, Y, A, B, *(a for k in kinds for a in FIELD_ATOMS[k]))
+    field = field_for(X, Y, A, B, *(a for k in kinds for a in atoms[k]))
     ring, n = field.ring, len(field.symbols)
     term = st.tuples(st.integers(-6, 6).filter(bool),
                      st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -366,24 +349,88 @@ def test_to_expr_evaluates_and_merges_like_sympy():
         assert to_expr(f) == want
 
 
-def test_evaluate_real_odd_root():
-    v = evaluate_numeric(sp.Integer(-8)**sp.Rational(1, 3), {})
-    assert abs(v + 2) < mpmath.mpf("1e-50")
+# -- the sampler of the zero test ---------------------------------------------
+
+def _sampled(f, point):
+    """The sampler's value of the numerator of ``f`` at ``point``."""
+    field = field_for(*f.field.symbols)
+    with mpmath.workdps(SAMPLE_PRECISION):
+        guard = mpmath.mpf(10) ** -30
+        values = exprkernel._Point(field, point, guard).terms(
+            exprkernel._sparse(f.numer))
+        return mpmath.fsum(values)
 
 
-def test_evaluate_even_root_of_negative():
-    with pytest.raises(EvenRootOfNegative):
-        evaluate_numeric(sp.sqrt(X), {X: Fraction(-1)})
+@settings(max_examples=150, deadline=None)
+@given(field_elements({k: v for k, v in FIELD_ATOMS.items() if k != "I"}),
+       st.integers(0, 2**32))
+def test_sampler_agrees_with_sympy(f, seed):
+    rng = random.Random(seed)
+    point = {s: random_rational(rng) for s in (X, Y, A, B)}
+    value = _sampled(f, point)
+    ref = sp.N(to_expr(f.numer).subs({k: sp.Rational(v)
+                                      for k, v in point.items()}), 80)
+    with mpmath.workdps(80):
+        ref = mpmath.mpf(str(ref))
+        assert abs(value - ref) <= mpmath.mpf(10)**-50 * max(1, abs(ref))
 
 
-def test_evaluate_pole():
-    with pytest.raises(PoleAtPoint):
-        evaluate_numeric(1 / (X - 1), {X: Fraction(1)})
+def _free_square_minus_radicand():
+    """r**2*exp(y) - (1 - x)*exp(y) in the free field of r = sqrt(1 - x),
+    where r**2 is not rewritten."""
+    r = sp.sqrt(1 - X)
+    field = field_for(r, sp.exp(Y))
+    g, e = field(r), field(sp.exp(Y))
+    return g**2 * e - (1 - field(X)) * e
 
 
-def test_evaluate_log_pole():
-    with pytest.raises(PoleAtPoint):
-        evaluate_numeric(sp.log(X), {X: Fraction(0)})
+# each case as the zero test decides it: (status, note, samples)
+UNKNOWN_SAMPLED = ("unknown",
+                   f"{SAMPLE_COUNT} samples below tolerance but not proved zero",
+                   SAMPLE_COUNT)
+NO_SAMPLE = ("unknown", "no non-singular sample point found", 0)
+
+
+@pytest.mark.parametrize("make, want", [
+    # the real cube root of -8 is -2
+    (lambda: sp.Integer(-8)**sp.Rational(1, 3) + 2, UNKNOWN_SAMPLED),
+    # 1 - x < 0 at every point drawn: its square root skips each
+    (lambda: sp.sqrt(1 - X), NO_SAMPLE),
+    # r**2 is 1 - x, whose sign raises nothing
+    (_free_square_minus_radicand, UNKNOWN_SAMPLED),
+    # ln of a non-positive value
+    (lambda: sp.log(1 - X), NO_SAMPLE),
+], ids=["real-odd-root", "even-root-of-negative", "free-root-square",
+        "ln-non-positive"])
+def test_sampler_parity(make, want):
+    v = is_identically_zero(make())
+    assert (v.status, v.note, v.samples) == want
+
+
+def test_sampler_skips_a_pole_in_an_atom_argument(monkeypatch):
+    """x = 1 is a pole of exp(1/(x - 1)): the first point is skipped and
+    the second is the first sample."""
+    draws = iter([Fraction(1), Fraction(3, 2)] * SAMPLE_COUNT)
+    monkeypatch.setattr(exprkernel, "random_rational", lambda rng: next(draws))
+    v = is_identically_zero(sp.exp(1 / (X - 1)))
+    assert (v.status, v.note, v.samples) == ("nonzero",
+                                             "sample 1 exceeds tolerance", 1)
+
+
+def test_sampler_raises_on_the_imaginary_unit():
+    with pytest.raises(ValueError, match="cannot evaluate node I"):
+        is_identically_zero(sp.I * sp.exp(X) + Y)
+
+
+def test_zero_test_samples_without_building_an_expression(monkeypatch):
+    field = field_for(sp.sin(2 * Y), sp.sin(Y), X)
+    f = field(X * (sp.sin(2 * Y) - 2 * sp.sin(Y) * sp.cos(Y)))
+
+    def refuse(_):
+        raise AssertionError("the zero test built an expression")
+    monkeypatch.setattr(exprkernel, "to_expr", refuse)
+    v = is_identically_zero(f)
+    assert (v.status, v.samples) == ("unknown", SAMPLE_COUNT)
 
 
 def test_random_rational_range():
@@ -513,42 +560,6 @@ def test_field_elements_mix_with_sympy_elements():
     g = Kp.raw_new(f.numer, f.denom)
     assert f == g and hash(f) == hash(g)
     assert str(field.K.x + 1) == "x + 1"
-
-
-# -- the evaluation tape against the closure compiler it replaced -----------
-
-def _evaluated(run, point):
-    """(value, scale) of ``run`` at ``point``, or the exception class."""
-    with mpmath.workdps(60):
-        scale = [mpmath.mpf(0)]
-        try:
-            return run(numeric_point(point), scale), scale[0]
-        except (PoleAtPoint, EvenRootOfNegative) as exc:
-            return type(exc)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rational_exprs(), st.sampled_from(sorted(ATOMS)), st.data())
-def test_tape_matches_closure_compiler(reference_compile, e, kind, data):
-    atom = data.draw(atom_polys(kind))
-    # repeated subtrees, which the tape computes once
-    e = e * atom + sp.sqrt(atom**2 + 1) / (e**2 + 1) + sp.pi / sp.E
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    point = {X: random_rational(rng), Y: random_rational(rng)}
-    want = _evaluated(reference_compile(e), point)
-    assert _evaluated(compile_numeric(e, 60), point) == want
-
-
-@pytest.mark.parametrize("e, x", [
-    (1 / (X - 1), 1), (sp.sqrt(X - 2), 1), (sp.log(X - 1), 1),
-    (Y / (X - 1) + sp.sqrt(X - 2), 1), (sp.sqrt(X - 2) + sp.log(X - 1), 1),
-    (1 / (X - 1) + sp.sqrt(X - 2), Fraction(3, 2)),
-])
-def test_tape_raises_as_closure_compiler(reference_compile, e, x):
-    point = {X: Fraction(x), Y: Fraction(1)}
-    want = _evaluated(reference_compile(e), point)
-    assert want in (PoleAtPoint, EvenRootOfNegative)
-    assert _evaluated(compile_numeric(e, 60), point) == want
 
 
 def test_field_subclass_refuses_a_sympy_it_was_not_built_for(monkeypatch):
